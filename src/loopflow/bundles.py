@@ -52,7 +52,8 @@ def section(bundle, values):
         raise ValueError(f"section values must have shape {bundle.base_map.shape}")
     proj = np.einsum("nij,nj->ni", bundle.projectors, vals)
     worst = float(np.max(np.abs(proj - vals))) if vals.size else 0.0
-    if worst > _FIBER_TOL:
+    # Written so that non-finite values, whose gap is NaN, fail too.
+    if not worst <= _FIBER_TOL:
         raise ValueError(
             f"values leave the fibers by {worst:.3e}; use project_section for raw fields"
         )
@@ -66,6 +67,8 @@ def project_section(bundle, raw_values):
     vals = np.asarray(raw_values, dtype=float)
     if vals.shape != bundle.base_map.shape:
         raise ValueError(f"raw values must have shape {bundle.base_map.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("raw values must be finite")
     proj = np.einsum("nij,nj->ni", bundle.projectors, vals)
     proj.setflags(write=False)
     return BundleSection(bundle, proj)
@@ -73,10 +76,6 @@ def project_section(bundle, raw_values):
 
 def zero_section(bundle):
     return project_section(bundle, np.zeros_like(bundle.base_map))
-
-
-def section_values(sec):
-    return sec.values
 
 
 def bundle_gradient(bundle, sec):
@@ -139,39 +138,29 @@ def sobolev_norms(sec):
 def chart_encode(bundle, points):
     """Tangent-chart coordinates of a nearby loop: solve Pi(phi0 + tau) = u.
 
-    On the sphere the solution is closed form, tau = u/(u.phi0) - phi0.
-    On an ellipsoid each node runs a projected-chord iteration with a
-    tangent-space correction.
+    The points with Pi(x) = u form the normal line x = u + s nu_u, and
+    tau = x - phi0 must be tangent at phi0, so s = <phi0 - u, nu_0> / <nu_u, nu_0>.
     """
     u = np.asarray(points, dtype=float)
     if u.shape != bundle.base_map.shape:
         raise ValueError(f"points must have shape {bundle.base_map.shape}")
-    bundle.target.require_on_manifold(u, tol=1e-8, what="loop to encode")
-    base = bundle.base_map
-    if bundle.target.kind == "sphere":
-        dots = np.sum(u * base, axis=1)
-        if np.any(dots <= _CHART_DOT_MIN):
-            raise ValueError(
-                f"loop leaves the chart: min alignment {dots.min():.3f} <= {_CHART_DOT_MIN}"
-            )
-        vals = u / dots[:, None] - base
-        return project_section(bundle, vals)
     target = bundle.target
-    vals = np.zeros_like(base)
-    for i in range(base.shape[0]):
-        P = bundle.projectors[i]
-        tau = P @ (u[i] - base[i])
-        ok = False
-        for _ in range(100):
-            r = u[i] - target.project_nearest(base[i] + tau)
-            if np.linalg.norm(r) <= 1e-12:
-                ok = True
-                break
-            tau = P @ (tau + r)
-        if not ok:
-            raise RuntimeError(f"chart encoding did not converge at node {i}")
-        vals[i] = tau
-    return project_section(bundle, vals)
+    target.require_on_manifold(u, tol=1e-8, what="loop to encode")
+    base = bundle.base_map
+    nu_u = target.unit_normal(u)
+    nu0 = target.unit_normal(base)
+    dots = np.sum(nu_u * nu0, axis=1)
+    if np.any(dots <= _CHART_DOT_MIN):
+        raise ValueError(
+            f"loop leaves the chart: min alignment {dots.min():.3f} <= {_CHART_DOT_MIN}"
+        )
+    s = np.sum((base - u) * nu0, axis=1) / dots
+    if np.any(np.abs(s) >= target.tube_radius):
+        raise ValueError(
+            f"loop leaves the chart tube: max normal offset {np.abs(s).max():.3f} "
+            f">= {target.tube_radius}"
+        )
+    return project_section(bundle, u + s[:, None] * nu_u - base)
 
 
 def chart_decode(bundle, sec):

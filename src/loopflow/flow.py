@@ -34,6 +34,9 @@ __all__ = [
 
 _INTEGRATORS = ("projected_euler", "projected_rk4")
 
+# Length of each integrator's real stability interval [-c, 0].
+_STABILITY_INTERVAL = {"projected_euler": 2.0, "projected_rk4": 2.785}
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -82,15 +85,28 @@ def _step_values(mesh, target, values, dt, integrator):
     return target.project_nearest(values + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
-def flow_step(state, dt, integrator="projected_rk4"):
-    """One explicit step of du/dt = M_E(u) with projection after each stage."""
-    h = state.mesh.spacing
-    if dt > 0.5 * h * h * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} violates the explicit stability bound 0.5 h^2 = {0.5 * h * h:.3e}"
-        )
+def _check_stable(mesh, dt, integrator):
+    """Reject dt above the explicit stability bound of the integrator.
+
+    The bound is the integrator's real stability interval over the
+    largest eigenvalue of the Laplacian stencil, 4/h^2 at order 2 and
+    16/(3 h^2) at order 4, and never more than 0.5 h^2.
+    """
     if integrator not in _INTEGRATORS:
         raise ValueError(f"integrator must be one of {_INTEGRATORS}")
+    h = mesh.spacing
+    lambda_max = (4.0 if mesh.diff_order == 2 else 16.0 / 3.0) / (h * h)
+    bound = min(0.5 * h * h, _STABILITY_INTERVAL[integrator] / lambda_max)
+    if dt > bound * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt = {dt:.3e} violates the explicit stability bound {bound:.3e} of "
+            f"{integrator} on an order-{mesh.diff_order} mesh"
+        )
+
+
+def flow_step(state, dt, integrator="projected_rk4"):
+    """One explicit step of du/dt = M_E(u) with projection after each stage."""
+    _check_stable(state.mesh, dt, integrator)
     new_values = _step_values(state.mesh, state.target, state.values, dt, integrator)
     return MapState(state.mesh, state.target, new_values)
 
@@ -105,6 +121,7 @@ def run_flow(initial, config, fill_distances=True):
     mesh, target = initial.mesh, initial.target
     h = mesh.spacing
     dt = config.dt_factor * h * h
+    _check_stable(mesh, dt, config.integrator)
     n_max = int(np.ceil(config.t_max / dt))
     times, energies, grads = [], [], []
     values = initial.values
@@ -149,6 +166,7 @@ def run_flow(initial, config, fill_distances=True):
 
 
 def _ols(x, y):
+    """Least-squares line y = slope x + intercept: (slope, intercept, r^2, sse)."""
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     fit = A @ coef

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import _ols
 from .reduction import reduced_function
 
 __all__ = [
@@ -58,6 +59,8 @@ def make_cloud(value_gaps, gradient_norms, provenance):
     g = np.asarray(gradient_norms, dtype=float)
     if v.shape != g.shape or v.ndim != 1:
         raise ValueError("value gaps and gradient norms must be matching 1-d arrays")
+    if not (np.isfinite(v).all() and np.isfinite(g).all()):
+        raise ValueError("cloud entries must be finite")
     if np.any(v < 0.0) or np.any(g < 0.0):
         raise ValueError("cloud entries must be nonnegative")
     pairs = np.stack([v, g], axis=1)
@@ -69,17 +72,6 @@ def _usable(cloud):
     v, g = cloud.pairs[:, 0], cloud.pairs[:, 1]
     mask = (v > _FLOOR) & (g > _FLOOR)
     return v[mask], g[mask], int(np.sum(~mask))
-
-
-def _ols_loglog(x, y):
-    lx, ly = np.log(x), np.log(y)
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fit = A @ coef
-    ss_res = float(np.sum((ly - fit) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(coef[0]), float(coef[1]), r2
 
 
 def _require_span(v, n_min=10, decades=2.0):
@@ -96,7 +88,7 @@ def estimate_gradient_exponent(cloud):
     """OLS fit of log(gradient) = theta log(gap) + log(1/C)."""
     v, g, dropped = _usable(cloud)
     _require_span(v)
-    slope, intercept, r2 = _ols_loglog(v, g)
+    slope, intercept, r2, _ = _ols(np.log(v), np.log(g))
     return ExponentFit(
         theta=slope,
         constant=float(np.exp(-intercept)),
@@ -125,7 +117,7 @@ def verify_inequality(cloud, theta_claim):
     c_first = float(np.max(c_samples[:half]))
     holdout = c_samples[half:]
     pass_fraction = float(np.mean(holdout <= 2.0 * c_first))
-    trend_slope, _, trend_r2 = _ols_loglog(v, c_samples)
+    trend_slope, _, trend_r2, _ = _ols(np.log(v), np.log(c_samples))
     diverging = bool(trend_slope < -0.05 and trend_r2 > 0.5)
     return {
         "theta_claim": float(theta_claim),
@@ -208,7 +200,7 @@ def finite_dim_gradient_exponent(f, critical_point, radii, samples_per_radius=64
         vd, gd = v[:, d][ok[:, d]], g[:, d][ok[:, d]]
         if vd.size < 3 or np.log10(np.max(vd) / np.min(vd)) < 2.0:
             continue
-        slope, _, slope_r2 = _ols_loglog(vd, gd)
+        slope, _, slope_r2, _ = _ols(np.log(vd), np.log(gd))
         if slope > theta:
             theta, r2 = slope, slope_r2
     if not np.isfinite(theta):
@@ -269,7 +261,7 @@ def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8, refine=4):
     if dists.size < 4:
         raise ValueError("too few off-zero grid samples to fit")
     env_d, env_f = _lower_envelope(dists, vals, bins_per_decade=6)
-    slope, _, _ = _ols_loglog(env_d, env_f)
+    slope, _, _, _ = _ols(np.log(env_d), np.log(env_f))
     alpha = slope
     constant = float(np.max(dists**alpha / vals))
     return alpha, constant

@@ -21,6 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .bundles import l2_norm, section, sobolev_norms
+from .flow import _ols
 from .variational import (
     _detect_stencil_radius,
     fiber_frames,
@@ -168,11 +169,11 @@ def build_reduction_workspace(
     fd_step=1e-6,
 ):
     frames = fiber_frames(bundle)
-    L_frame, _ = frame_linearization(
-        bundle, functional, at_values=None, step=fd_step, frames=frames
-    )
     stencil = _detect_stencil_radius(
         bundle, functional, np.zeros_like(bundle.base_map), frames, fd_step
+    )
+    L_frame, _ = frame_linearization(
+        bundle, functional, at_values=None, step=fd_step, frames=frames, stencil_radius=stencil
     )
     vecs, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
         L_frame, bundle.mesh.spacing, kernel_tol
@@ -456,9 +457,7 @@ def approximation_sweep(
     m_all = np.array(m_all)
     if lhs_all.size < 3:
         raise ValueError("approximation sweep produced too few usable samples")
-    A = np.stack([np.log(m_all), np.ones_like(m_all)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.log(lhs_all), rcond=None)
-    slope = float(coef[0])
+    slope = _ols(np.log(m_all), np.log(lhs_all))[0]
     constant = float(np.max(lhs_all / m_all**2))
     return {
         "amplitudes": [float(a) for a in amplitudes],

@@ -1,11 +1,16 @@
 """Embedded targets: round spheres and axis-aligned ellipsoids in R^p.
 
-The sphere paths are closed form. The ellipsoid nearest-point projection
-solves the Lagrange multiplier equation with a safeguarded Newton
-iteration; its differential is obtained by central differencing, and the
-second fundamental form by differencing the tangent projector field
-along curves through the base point. A tube radius bounds the
-neighborhood on which projection and chart operations are trusted.
+This module is the only place that knows the target's geometry, and every
+quantity has one closed form, vectorized over stacked rows; the sphere is
+the ellipsoid with unit semi-axes. The nearest point of x is
+Pi(x) = a^2 x / (a^2 + t), with the Lagrange multiplier t solved for all
+rows at once by a safeguarded Newton iteration. Implicit differentiation
+of that formula gives the differential dPi_x, a symmetric matrix, and the
+level set G(y) = sum y^2 / a^2 - 1 gives the unit normal and the second
+fundamental form. The sphere keeps two shortcuts, x / |x| for Pi and its
+three-operation dPi, because they are cheaper on the flow's hot path. A
+tube radius bounds the neighborhood on which projection and chart
+operations are trusted.
 """
 
 from dataclasses import dataclass
@@ -59,9 +64,11 @@ class TargetManifold:
         return np.abs(q - 1.0)
 
     def require_on_manifold(self, y, tol=1e-10, what="point"):
+        """Raise ValueError unless every point is finite and on the manifold."""
         r = self.defining_residual(y)
         worst = float(np.max(r))
-        if worst > tol:
+        # Written so that a NaN residual fails too.
+        if not worst <= tol:
             raise ValueError(
                 f"{what} is off the target manifold: defining residual {worst:.3e} > {tol:.1e}"
             )
@@ -69,15 +76,21 @@ class TargetManifold:
     def in_tube(self, x):
         """Conservative check that x is within tube_radius of the manifold."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "sphere":
-            d = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
-            return bool(np.all(d < self.tube_radius))
-        m = np.sqrt(np.sum((x / self.semi_axes) ** 2, axis=-1))
-        if np.any(m == 0.0):
-            return False
-        # x/m lies on the ellipsoid, so |x - x/m| bounds the distance above.
-        d = np.linalg.norm(x, axis=-1) * np.abs(1.0 - 1.0 / m)
-        return bool(np.all(d < self.tube_radius))
+        y = x / self.semi_axes
+        m = np.sqrt((y * y).sum(-1))
+        # x/m lies on the manifold, so |x - x/m| = |x| |m - 1| / m bounds the
+        # distance above; comparing without dividing also rejects x = 0 and NaN.
+        return bool((np.sqrt((x * x).sum(-1)) * np.abs(m - 1.0) < self.tube_radius * m).all())
+
+    def unit_normal(self, y):
+        """Unit normal grad G / |grad G| of the level set at each point y."""
+        grad = y / self.semi_axes**2
+        return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+
+    def tangent_part(self, y, X):
+        """X minus its component along the unit normal at y, rowwise."""
+        n = self.unit_normal(y)
+        return X - np.sum(X * n, axis=-1, keepdims=True) * n
 
     # -- nearest-point projection ------------------------------------------
 
@@ -91,78 +104,67 @@ class TargetManifold:
         if not self.in_tube(x):
             raise ValueError("point outside the tube neighborhood of the target")
         if self.kind == "sphere":
-            nrm = np.linalg.norm(x, axis=-1, keepdims=True)
-            return x / nrm
-        if x.ndim == 1:
-            return self._project_ellipsoid(x)
-        return np.stack([self._project_ellipsoid(row) for row in x])
-
-    def _project_ellipsoid(self, x):
+            return x / np.sqrt((x * x).sum(-1, keepdims=True))
         a2 = self.semi_axes**2
+        return a2 * x / (a2 + self._multiplier(x))
 
-        def g(t):
-            return float(np.sum(a2 * x**2 / (a2 + t) ** 2) - 1.0)
+    def _multiplier(self, x):
+        """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).
 
-        # g is strictly decreasing on (-min a^2, inf); bracket the root.
-        t_lo, t_hi = 0.0, 0.0
-        g0 = g(0.0)
-        if abs(g0) <= _PROJ_TOL:
-            t = 0.0
-        else:
-            step = float(a2.min())
-            if g0 > 0.0:
-                t_lo = 0.0
-                t_hi = step
-                while g(t_hi) > 0.0:
-                    t_hi += step
-                    step *= 2.0
-                    if t_hi > 1e8 * float(a2.max()):
-                        raise RuntimeError("ellipsoid projection failed to bracket")
-            else:
-                t_hi = 0.0
-                t_lo = -step * 0.5
-                floor = -float(a2.min()) * (1.0 - 1e-12)
-                while g(t_lo) < 0.0:
-                    t_lo = 0.5 * (t_lo + floor)
-                    if floor - t_lo > -1e-14:
-                        raise RuntimeError("ellipsoid projection failed to bracket")
-            t = 0.5 * (t_lo + t_hi)
-            for _ in range(_PROJ_MAX_ITER):
-                gt = g(t)
-                if abs(gt) <= _PROJ_TOL:
-                    break
-                if gt > 0.0:
-                    t_lo = t
-                else:
-                    t_hi = t
-                dg = float(np.sum(-2.0 * a2 * x**2 / (a2 + t) ** 3))
-                t_newton = t - gt / dg if dg != 0.0 else None
-                if t_newton is not None and t_lo < t_newton < t_hi:
-                    t = t_newton
-                else:
-                    t = 0.5 * (t_lo + t_hi)
-            else:
-                raise RuntimeError(
-                    f"ellipsoid projection did not converge: residual {g(t):.3e}"
-                )
-        return a2 * x / (a2 + t)
+        The root of g(t) = sum a^2 x^2 / (a^2 + t)^2 - 1, which is convex
+        and strictly decreasing on (-min a^2, inf). One bracket holds every
+        row's root: g blows up at the left end, and g <= 0 once
+        a_min^2 + t >= a_max |x|. Each row shrinks its own copy; a Newton
+        step that leaves it is replaced by bisection.
+        """
+        a2 = self.semi_axes**2
+        ax2 = a2 * x * x
+        top = float(self.semi_axes.max() * np.sqrt(np.max(np.sum(x * x, axis=-1))) - a2.min())
+        t = np.zeros(x.shape[:-1] + (1,))
+        lo = np.full_like(t, -float(a2.min()))
+        hi = np.full_like(t, max(top, 0.0))
+        for _ in range(_PROJ_MAX_ITER):
+            s = a2 + t
+            q = ax2 / (s * s)
+            g = np.sum(q, axis=-1, keepdims=True) - 1.0
+            if np.all(np.abs(g) <= _PROJ_TOL):
+                return t
+            lo = np.where(g > 0.0, t, lo)
+            hi = np.where(g < 0.0, t, hi)
+            newton = t + g / (2.0 * np.sum(q / s, axis=-1, keepdims=True))
+            t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        raise RuntimeError(
+            f"ellipsoid projection did not converge: residual {float(np.max(np.abs(g))):.3e}"
+        )
 
     # -- differential of projection ----------------------------------------
 
     def differential_of_projection(self, x, v):
-        """d Pi_x(v), the derivative of nearest-point projection at x."""
+        """d Pi_x(v), the derivative of nearest-point projection at x.
+
+        Accepts a point or an (n, p) stack with matching v. The matrix is
+        symmetric, so this also applies its transpose.
+        """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if not self.in_tube(x):
             raise ValueError("base point outside the tube neighborhood")
+        return self._differential(x, v)
+
+    def _differential(self, x, v):
+        """differential_of_projection without the tube check, for callers
+        that have just projected x."""
         if self.kind == "sphere":
-            r = np.linalg.norm(x)
+            r = np.sqrt((x * x).sum(-1, keepdims=True))
             xn = x / r
-            return (v - np.dot(v, xn) * xn) / r
-        eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        return (self._project_ellipsoid(x + eps * v) - self._project_ellipsoid(x - eps * v)) / (
-            2.0 * eps
-        )
+            return (v - (v * xn).sum(-1, keepdims=True) * xn) / r
+        # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
+        # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
+        a2 = self.semi_axes**2
+        s = a2 + self._multiplier(x)
+        w = a2 * x / (s * s)
+        dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / s, axis=-1, keepdims=True)
+        return a2 * v / s - dt * w
 
     # -- tangent projector and curvature -----------------------------------
 
@@ -175,11 +177,7 @@ class TargetManifold:
         return np.eye(self.ambient_dim) - np.outer(n, n)
 
     def second_fundamental_form(self, y, X, Y, tol=1e-8):
-        """A_y(X, Y): normal part of the derivative of the projector field.
-
-        Sphere targets use the closed form -(X . Y) y. Ellipsoids difference
-        the tangent projector along the projected curve y + t X.
-        """
+        """A_y(X, Y) = -<X, 2 Y / a^2> / |grad G| n, for tangent X and Y."""
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -188,30 +186,21 @@ class TargetManifold:
         scale = max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)))
         if np.linalg.norm(P @ X - X) > tol * scale or np.linalg.norm(P @ Y - Y) > tol * scale:
             raise ValueError("second_fundamental_form needs tangent input vectors")
-        if self.kind == "sphere":
-            return -np.dot(X, Y) * y
-        nx = float(np.linalg.norm(X))
-        if nx == 0.0:
-            return np.zeros(self.ambient_dim)
-        eps = 1e-6 / nx
-        Pp = self.tangent_projector(self._project_ellipsoid(y + eps * X))
-        Pm = self.tangent_projector(self._project_ellipsoid(y - eps * X))
-        dP = (Pp - Pm) / (2.0 * eps)
-        return (np.eye(self.ambient_dim) - P) @ (dP @ Y)
+        return _shape_form(self, y, X, Y)
 
 
-def curvature_contraction(target, y, X):
-    """Vectorized A_y(X, X) over stacked rows, via the level-set closed form.
-
-    Agrees with second_fundamental_form (which differences the projector
-    field) to the differencing tolerance; used on hot paths.
-    """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+def _shape_form(target, y, X, Y):
+    """Level-set second fundamental form A_y(X, Y), rowwise."""
     a2 = target.semi_axes**2
     grad = 2.0 * y / a2
     gn = np.linalg.norm(grad, axis=-1, keepdims=True)
     nhat = grad / gn
-    HX = 2.0 * X / a2
-    coeff = np.sum(X * HX, axis=-1, keepdims=True) / gn
+    HY = 2.0 * Y / a2
+    coeff = np.sum(X * HY, axis=-1, keepdims=True) / gn
     return -coeff * nhat
+
+
+def curvature_contraction(target, y, X):
+    """A_y(X, X) over stacked rows; the tension field's curvature term."""
+    X = np.asarray(X, dtype=float)
+    return _shape_form(target, np.asarray(y, dtype=float), X, X)

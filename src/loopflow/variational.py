@@ -23,11 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bundles import BundleSection, project_section, section
+from .bundles import project_section, section
 from .mesh import (
     curvature_field,
     differentiate,
-    forward_difference,
     frame_field,
     integrate,
     laplace_beltrami,
@@ -87,16 +86,6 @@ def energy(state):
     return _ambient_energy(state.mesh, state.values)
 
 
-def _unit_normals(target, y):
-    grad = y / target.semi_axes**2
-    return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
-
-
-def _tangent_part(target, y, X):
-    n = _unit_normals(target, y)
-    return X - np.sum(X * n, axis=-1, keepdims=True) * n
-
-
 def tension_field(state):
     """Pointwise Delta u - A_u(Du, Du); tangent at u up to O(h^2).
 
@@ -107,13 +96,13 @@ def tension_field(state):
     mesh, target, u = state.mesh, state.target, state.values
     lap = laplace_beltrami(mesh, u)
     du = differentiate(mesh, u)
-    du_t = _tangent_part(target, u, du)
+    du_t = target.tangent_part(u, du)
     A = curvature_contraction(target, u, du_t)
     return lap - A
 
 
 def tangential_tension(state):
-    return _tangent_part(state.target, state.values, tension_field(state))
+    return state.target.tangent_part(state.values, tension_field(state))
 
 
 def _staggered_energy(mesh, values):
@@ -299,24 +288,6 @@ def general_euler_lagrange(bundle, functional, sec):
 # -- the energy functional of a chart --------------------------------------
 
 
-def _differential_transpose(target, points, fields):
-    """Rows of dPi_x^T applied to fields, vectorized for spheres."""
-    if target.kind == "sphere":
-        r = np.linalg.norm(points, axis=1, keepdims=True)
-        xn = points / r
-        return (fields - np.sum(fields * xn, axis=1, keepdims=True) * xn) / r
-    out = np.empty_like(fields)
-    p = target.ambient_dim
-    for i in range(points.shape[0]):
-        J = np.empty((p, p))
-        for j in range(p):
-            e = np.zeros(p)
-            e[j] = 1.0
-            J[:, j] = target.differential_of_projection(points[i], e)
-        out[i] = J.T @ fields[i]
-    return out
-
-
 def _compact_laplacian(mesh, values):
     h = mesh.spacing
     return (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) / (h * h)
@@ -348,20 +319,17 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
         return _ambient_energy(bnd.mesh, points) - e0
 
     def el_fn(bnd, values):
-        points = bnd.target.project_nearest(bnd.base_map + values)
-        lap = _compact_laplacian(bnd.mesh, points)
-        return _differential_transpose(bnd.target, bnd.base_map + values, -2.0 * lap)
+        x = bnd.base_map + values
+        lap = _compact_laplacian(bnd.mesh, bnd.target.project_nearest(x))
+        # dPi is symmetric, so it is its own transpose; project_nearest has
+        # just checked that x lies in the tube.
+        return bnd.target._differential(x, -2.0 * lap)
 
     gbase = differentiate(mesh, base)
     kmats = differentiate(mesh, bundle.projectors)
     h = mesh.spacing
     n = mesh.n_nodes
-    ref = np.array(
-        [
-            np.sum(target.differential_of_projection(base[i], gbase[i]) ** 2)
-            for i in range(n)
-        ]
-    )
+    ref = np.sum(target.differential_of_projection(base, gbase) ** 2, axis=1)
 
     def _node_of(theta):
         idx = int(round(theta / h)) % n

@@ -15,8 +15,10 @@ from loopflow.bundles import (
     sobolev_norms,
     zero_section,
 )
+from loopflow.lojasiewicz import make_cloud
 from loopflow.mesh import build_circle_mesh
 from loopflow.targets import TargetManifold
+from loopflow.variational import map_state
 
 
 def great_circle_bundle(n=32, target=None):
@@ -176,3 +178,38 @@ def test_section_shape_mismatch():
         section(b, np.zeros((17, 3)))
     with pytest.raises(ValueError, match="shape"):
         project_section(b, np.zeros((16, 2)))
+
+
+def _nan_map_state(b):
+    vals = b.base_map.copy()
+    vals[3, 0] = np.nan
+    map_state(b.mesh, b.target, vals)
+
+
+def _nan_bundle(b):
+    base = b.base_map.copy()
+    base[5, 2] = np.nan
+    build_pullback_bundle(b.mesh, b.target, base)
+
+
+def _nan_values(b):
+    vals = np.zeros_like(b.base_map)
+    vals[2, 2] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _nan_map_state,
+        _nan_bundle,
+        lambda b: section(b, _nan_values(b)),
+        lambda b: project_section(b, _nan_values(b)),
+        lambda b: make_cloud([1e-3, np.nan], [1e-2, 1e-1], "nan gap"),
+        lambda b: make_cloud([1e-3, 1e-2], [np.inf, 1e-1], "inf gradient"),
+    ],
+    ids=["map_state", "build_pullback_bundle", "section", "project_section", "make_cloud_nan", "make_cloud_inf"],
+)
+def test_non_finite_input_is_rejected(entry):
+    with pytest.raises(ValueError):
+        entry(great_circle_bundle(16))

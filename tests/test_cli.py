@@ -209,6 +209,28 @@ def test_reduce_run_artifacts(tmp_path):
     assert report["lipschitz"]["ratio_spread"] < 10.0
 
 
+ELLIPSOID = {
+    "domain": {"n_nodes": 16},
+    "target": {"kind": "ellipsoid", "semi_axes": [1.0, 1.0, 1.3]},
+    "perturbation": {"seed": 5},
+    "lojasiewicz": {"radii": [0.01, 0.02], "samples_per_radius": 4},
+}
+
+
+def test_ellipsoid_reduce_run_and_loj_estimate(tmp_path):
+    config_path = write_config(tmp_path, ELLIPSOID)
+    out = str(tmp_path / "reduce")
+    assert main(["reduce-run", "--config", config_path, "--out", out]) == 0
+    report = read_json(out, "reduction_report.json")
+    assert report["kernel_dimension"] == 1
+    assert report["gap_ratio"] > 10.0
+    assert report["sandwich"]["n_newton_failure"] == 0
+    assert report["approximation"]["slope"] > 1.5
+    out = str(tmp_path / "loj")
+    assert main(["loj-estimate", "--config", config_path, "--out", out]) == 0
+    assert 0.4 < read_json(out, "exponent_fit.json")["fit"]["theta"] < 0.6
+
+
 def test_finite_verify_artifacts(tmp_path):
     payload = {
         "finite_verify": {

@@ -51,6 +51,21 @@ def test_step_respects_stability_bound():
         flow_step(state, 0.1 * h * h, integrator="leapfrog")
 
 
+def test_order_four_euler_stability_bound():
+    # the order-4 Laplacian reaches 16/(3 h^2), so forward Euler needs
+    # dt <= 0.375 h^2; RK4's longer interval keeps the 0.5 h^2 cap
+    state = perturbed_equator(32)
+    mesh = build_circle_mesh(32, diff_order=4)
+    state = MapState(mesh, state.target, state.values)
+    h = mesh.spacing
+    with pytest.raises(ValueError, match="stability"):
+        flow_step(state, 0.45 * h * h, integrator="projected_euler")
+    with pytest.raises(ValueError, match="stability"):
+        run_flow(state, FlowConfig(dt_factor=0.45, t_max=0.1, integrator="projected_euler"))
+    flow_step(state, 0.37 * h * h, integrator="projected_euler")
+    flow_step(state, 0.45 * h * h, integrator="projected_rk4")
+
+
 def test_step_decreases_energy_both_integrators():
     state = perturbed_equator(32)
     h = state.mesh.spacing

@@ -226,3 +226,22 @@ def test_sandwich_sweep_report_shape(quartic_ws):
     assert len(rep["records"]) == 6
     assert rep["n_pass"] + rep["n_fail"] + rep["n_indeterminate"] + rep["n_newton_failure"] == 6
     assert rep["determinate_pass_rate"] == 1.0
+
+
+def test_ellipsoid_of_revolution_kernel_is_the_rotation_field():
+    # the equator of a z-stretched ellipsoid is critical, and its only
+    # degenerate direction is the rotation about the symmetry axis
+    mesh = build_circle_mesh(64)
+    t = TargetManifold.ellipsoid((1.0, 1.0, 1.3))
+    th = mesh.node_angles
+    base = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
+    b = build_pullback_bundle(mesh, t, base)
+    ws = build_reduction_workspace(b, energy_functional_on_bundle(b))
+    assert ws.kernel_dim == 1
+    assert ws.gap_ratio >= 10.0
+    rot = section(b, np.stack([-base[:, 1], base[:, 0], np.zeros_like(th)], axis=1))
+    phi = ws.kernel_basis[0]
+    assert abs(l2_inner(phi, rot)) / (l2_norm(phi) * l2_norm(rot)) >= 1.0 - 1e-8
+    report = sandwich_sweep(ws, radii=(0.005, 0.02), samples_per_radius=3)
+    assert report["n_newton_failure"] == 0
+    assert abs(reduced_function(ws, np.array([0.02]))) < 1e-9

@@ -101,6 +101,60 @@ def test_differential_of_projection_on_manifold_is_projector():
             )
 
 
+@pytest.mark.parametrize(
+    "target", [TargetManifold.sphere(3), TargetManifold.ellipsoid((1.5, 1.0, 0.8))]
+)
+def test_differential_of_projection_matches_central_difference(target):
+    # oracle: central difference of project_nearest, off the manifold, for
+    # single points and for stacked rows
+    rng = np.random.default_rng(21)
+    y = rng.standard_normal((12, 3))
+    y = y / np.linalg.norm(y / target.semi_axes, axis=1, keepdims=True)
+    x = y + 0.1 * target.tube_radius * rng.standard_normal((12, 3))
+    v = rng.standard_normal((12, 3))
+    eps = 1e-6
+    fd = (target.project_nearest(x + eps * v) - target.project_nearest(x - eps * v)) / (2 * eps)
+    np.testing.assert_allclose(target.differential_of_projection(x, v), fd, atol=1e-8)
+    for i in range(3):
+        np.testing.assert_allclose(target.differential_of_projection(x[i], v[i]), fd[i], atol=1e-8)
+    with pytest.raises(ValueError, match="tube"):
+        target.differential_of_projection(2.0 * x, v)
+
+
+def scalar_projection(t, x):
+    """Reference: per-row bracketed bisection on the Lagrange multiplier."""
+    a2 = t.semi_axes**2
+
+    def g(m):
+        return float(np.sum(a2 * x**2 / (a2 + m) ** 2) - 1.0)
+
+    lo, hi = -float(a2.min()), 1.0
+    while g(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return a2 * x / (a2 + 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.3), (1.5, 1.0, 0.8), (1.2, 0.9, 1.0, 1.1)])
+def test_vectorized_projection_matches_scalar_reference(axes):
+    e = TargetManifold.ellipsoid(axes)
+    p = len(axes)
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal((40, p))
+    y = y / np.linalg.norm(y / e.semi_axes, axis=1, keepdims=True)
+    x = y + rng.uniform(-0.5, 0.5, (40, 1)) * e.tube_radius * e.unit_normal(y)
+    proj = e.project_nearest(x)
+    ref = np.stack([scalar_projection(e, row) for row in x])
+    # both solve the multiplier to rounding; 1e-12 leaves room for its conditioning
+    np.testing.assert_allclose(proj, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(e.project_nearest(x[7]), proj[7], rtol=0.0, atol=1e-14)
+
+
 def test_tangent_projector_algebra():
     e = TargetManifold.ellipsoid((1.5, 1.0, 0.8))
     y = e.project_nearest(np.array([1.2, 0.5, 0.3]))
@@ -125,6 +179,16 @@ def test_second_fundamental_form_sphere():
         s.second_fundamental_form(y, y + X, Y)
 
 
+def fd_second_fundamental_form(t, y, X, Y, eps=1e-6):
+    """Oracle: normal part of the tangent projector field differenced along X."""
+    eps = eps / np.linalg.norm(X)
+    dP = (
+        t.tangent_projector(t.project_nearest(y + eps * X))
+        - t.tangent_projector(t.project_nearest(y - eps * X))
+    ) / (2.0 * eps)
+    return (np.eye(t.ambient_dim) - t.tangent_projector(y)) @ (dP @ Y)
+
+
 def test_second_fundamental_form_matches_closed_form_on_ellipsoid():
     # two routes: differencing the projector field vs the level-set formula
     e = TargetManifold.ellipsoid((1.4, 1.0, 0.7))
@@ -133,9 +197,13 @@ def test_second_fundamental_form_matches_closed_form_on_ellipsoid():
         y = e.project_nearest(unit(rng.standard_normal(3)) * e.semi_axes)
         P = e.tangent_projector(y)
         X = P @ rng.standard_normal(3)
-        fd = e.second_fundamental_form(y, X, X)
-        closed = curvature_contraction(e, y, X)
-        np.testing.assert_allclose(fd, closed, atol=2e-5 * max(1.0, np.dot(X, X)))
+        Y = P @ rng.standard_normal(3)
+        tol = 2e-5 * max(1.0, np.dot(X, X), np.dot(Y, Y))
+        fd = fd_second_fundamental_form(e, y, X, Y)
+        np.testing.assert_allclose(e.second_fundamental_form(y, X, Y), fd, atol=tol)
+        np.testing.assert_allclose(
+            curvature_contraction(e, y, X), fd_second_fundamental_form(e, y, X, X), atol=tol
+        )
 
 
 def test_curvature_contraction_vectorized_and_normal():
