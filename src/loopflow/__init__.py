@@ -54,7 +54,6 @@ from .reduction import (
     apply_N,
     approximation_check,
     build_reduction_workspace,
-    compute_kernel,
     invert_N,
     kernel_combination,
     kernel_coordinates,
@@ -75,7 +74,6 @@ from .variational import (
     frame_linearization,
     functional_value,
     general_euler_lagrange,
-    linearization_matrix,
     make_functional_spec,
     map_state,
     quadratic_remainder_check,

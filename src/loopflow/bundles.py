@@ -2,16 +2,16 @@
 
 A bundle is the base map phi0 together with the tangent projector of the
 target at each node; a section stores one fiber vector per node. The
-bundle gradient pairs the circle's tangent frame with the fiberwise
-projected derivative of the section. Charts move between small sections
-and nearby loops on the target through nearest-point projection.
+bundle gradient is the fiberwise projected derivative of the section.
+Charts move between small sections and nearby loops on the target
+through nearest-point projection.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import differentiate, frame_field, laplace_beltrami
+from .mesh import differentiate, laplace_beltrami
 
 _FIBER_TOL = 1e-10
 _CHART_DOT_MIN = 0.1
@@ -83,13 +83,6 @@ def bundle_gradient(bundle, sec):
     _check_same_bundle(bundle, sec)
     dv = differentiate(bundle.mesh, sec.values)
     return np.einsum("nij,nj->ni", bundle.projectors, dv)
-
-
-def bundle_gradient_tensor(bundle, sec):
-    """Full frame-tensor form tau (x) P(dv/dtheta), shape (n, 2, p)."""
-    frames = frame_field(bundle.mesh)
-    fiber = bundle_gradient(bundle, sec)
-    return np.einsum("na,nb->nab", frames, fiber)
 
 
 def _check_same_bundle(bundle, sec):
@@ -174,8 +167,3 @@ def chart_decode(bundle, sec):
             f"section leaves the chart tube: max |v| = {norms.max():.3f} >= {tube}"
         )
     return bundle.target.project_nearest(bundle.base_map + v)
-
-
-def decode_points(bundle, values):
-    """chart_decode for raw (already fiberwise-tangent) value arrays."""
-    return chart_decode(bundle, section(bundle, values))

@@ -38,6 +38,7 @@ from .lojasiewicz import (
 from .mesh import build_circle_mesh, integrate
 from .polynomials import from_term_list
 from .reduction import (
+    _random_fiber_field,
     approximation_sweep,
     build_reduction_workspace,
     lipschitz_probe,
@@ -250,14 +251,9 @@ def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
         newton_max_iter=config.reduction.newton_max_iter,
     )
     rng = np.random.default_rng(config.perturbation.seed if seed is None else seed)
-    theta = mesh.node_angles
     gaps, grads = [], []
     for amp in amplitudes:
-        raw = np.zeros_like(base)
-        for m in range(1, 5):
-            coef = rng.uniform(-1.0, 1.0, size=(2, target.ambient_dim))
-            raw += np.outer(np.cos(m * theta), coef[0]) + np.outer(np.sin(m * theta), coef[1])
-        sec = project_section(bundle, raw)
+        sec = _random_fiber_field(bundle, rng)
         ortho = section(bundle, sec.values - project_onto_kernel(workspace, sec).values)
         norm = l2_norm(ortho)
         if norm < 1e-12:
@@ -290,11 +286,14 @@ def trajectory_pairs(trace):
 
 
 def _run_loj_estimate(config, outdir, seed):
+    # The perturbation pairs build and check the reduction workspace, which
+    # is quick; doing it first reports a bad workspace before the long flow.
+    # The two draw from independent generators, so the order is free.
+    pert_gaps, pert_grads = _perturbation_pairs(config, seed)
     state = make_initial_map(config, seed)
     trace = run_flow(state, _flow_config(config, seed), fill_distances=False)
     e_inf = float(trace.energies[-1])
     traj_gaps, traj_grads = trajectory_pairs(trace)
-    pert_gaps, pert_grads = _perturbation_pairs(config, seed)
     rows = [(g, d, "flow") for g, d in zip(traj_gaps, traj_grads)]
     rows += [(g, d, "perturbation") for g, d in zip(pert_gaps, pert_grads)]
     _write_csv(outdir, "cloud.csv", ("value_gap", "grad_norm", "source"), rows)

@@ -2,8 +2,7 @@
 
 Everything downstream lives on this grid: trapezoid quadrature (all
 weights equal h on a uniform periodic mesh), centered finite differences
-of order 2 or 4, and the closed-form tangent / mean-curvature fields of
-the circle embedded in the plane. All stencils are circulant, so they
+of order 2 or 4, and the one-sided forward difference. All stencils are circulant, so they
 commute with cyclic shifts and the centered first difference is exactly
 antisymmetric under the quadrature inner product.
 """
@@ -75,14 +74,9 @@ def laplace_beltrami(mesh, field):
 
 
 def forward_difference(mesh, field):
-    """One-sided difference (f_{i+1} - f_i)/h; adjoint of -backward_difference."""
+    """One-sided difference (f_{i+1} - f_i)/h."""
     f = _check_field(mesh, field)
     return (np.roll(f, -1, axis=0) - f) / mesh.spacing
-
-
-def backward_difference(mesh, field):
-    f = _check_field(mesh, field)
-    return (f - np.roll(f, 1, axis=0)) / mesh.spacing
 
 
 def integrate(mesh, field):
@@ -91,32 +85,3 @@ def integrate(mesh, field):
     if f.ndim != 1:
         raise ValueError("integrate expects a scalar field, one value per node")
     return float(mesh.quad_weights @ f)
-
-
-def _check_node(mesh, node):
-    if not 0 <= node < mesh.n_nodes:
-        raise IndexError(f"node index {node} out of range for {mesh.n_nodes} nodes")
-
-
-def tangent_frame(mesh, node):
-    """Unit tangent (-sin, cos) of the circle at the given node."""
-    _check_node(mesh, node)
-    t = mesh.node_angles[node]
-    return np.array([-np.sin(t), np.cos(t)])
-
-
-def mean_curvature(mesh, node):
-    """Mean curvature vector of the unit circle: -omega, pointing inward."""
-    _check_node(mesh, node)
-    t = mesh.node_angles[node]
-    return np.array([-np.cos(t), -np.sin(t)])
-
-
-def frame_field(mesh):
-    """All tangent frames, shape (n, 2)."""
-    return np.stack([-np.sin(mesh.node_angles), np.cos(mesh.node_angles)], axis=1)
-
-
-def curvature_field(mesh):
-    """All mean curvature vectors, shape (n, 2)."""
-    return np.stack([-np.cos(mesh.node_angles), -np.sin(mesh.node_angles)], axis=1)

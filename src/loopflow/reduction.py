@@ -2,12 +2,12 @@
 inversion, and the reduced function on the kernel.
 
 The linearization lives on fiber-frame coordinates (p-1 per node), which
-quotients out the ambient normal directions; the ambient matrix from the
-variational layer factors exactly through these frames, so reducing and
-eigendecomposing there sees only the section space. Kernel vectors are
-kept when their eigenvalue is below a relative threshold, and a tenfold
-spectral gap between kept and discarded eigenvalues is enforced so a
-mis-sized kernel fails loudly instead of silently.
+quotients out the ambient normal directions, so eigendecomposing it sees
+only the section space; it is the only matrix the reduction builds.
+Kernel vectors are kept when their eigenvalue is below a relative
+threshold, and a tenfold spectral gap between kept and discarded
+eigenvalues is enforced so a mis-sized kernel fails loudly instead of
+silently.
 
 All Newton work happens in frame coordinates. The quadrature weight is
 uniform, so the L2 inner product of sections is h times the Euclidean
@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bundles import l2_norm, section, sobolev_norms
+from .bundles import _check_same_bundle, l2_norm, project_section, section, sobolev_norms
 from .flow import _ols
 from .variational import (
     _detect_stencil_radius,
@@ -33,7 +33,6 @@ from .variational import (
 __all__ = [
     "ReductionWorkspace",
     "build_reduction_workspace",
-    "compute_kernel",
     "project_onto_kernel",
     "kernel_coordinates",
     "kernel_combination",
@@ -60,7 +59,6 @@ _SANDWICH_BAND = (0.4, 2.1)
 class ReductionWorkspace:
     bundle: object
     functional: object
-    L_matrix: np.ndarray          # ambient (n p, n p), node-major
     frames: np.ndarray            # (n, p, p-1) fiber frames
     frame_matrix: np.ndarray      # (m, m) linearization on frame coords
     kernel_basis: Tuple           # BundleSections, L2-orthonormal
@@ -88,13 +86,6 @@ def _to_coords(frames, values):
 def _from_coords(frames, coords):
     n, p, q = frames.shape
     return np.einsum("npa,na->np", frames, coords.reshape(n, q))
-
-
-def _reduce_matrix(L_ambient, frames):
-    n, p, q = frames.shape
-    L4 = L_ambient.reshape(n, p, n, p)
-    t1 = np.einsum("ipa,ipjq->iajq", frames, L4)
-    return np.einsum("iajq,jqb->iajb", t1, frames).reshape(n * q, n * q)
 
 
 def _spectral_split(L_frame, spacing, kernel_tol):
@@ -142,23 +133,6 @@ def _spectral_split(L_frame, spacing, kernel_tol):
     )
 
 
-def compute_kernel(L_matrix, bundle, kernel_tol=1e-6):
-    """Kernel of the ambient linearization matrix as bundle sections.
-
-    The matrix is reduced to fiber-frame coordinates first: the ambient
-    normal directions are annihilated by construction and would otherwise
-    masquerade as kernel. Returns (basis, eigenvalues) with the basis an
-    array of shape (l, n, p), L2-orthonormal under the mesh quadrature.
-    """
-    frames = fiber_frames(bundle)
-    L_frame = _reduce_matrix(np.asarray(L_matrix, dtype=float), frames)
-    vecs, vals, *_ = _spectral_split(L_frame, bundle.mesh.spacing, kernel_tol)
-    basis = np.stack(
-        [_from_coords(frames, vecs[:, j]) for j in range(vecs.shape[1])], axis=0
-    ) if vecs.shape[1] else np.zeros((0,) + bundle.base_map.shape)
-    return basis, vals
-
-
 def build_reduction_workspace(
     bundle,
     functional,
@@ -181,18 +155,13 @@ def build_reduction_workspace(
     basis = tuple(
         section(bundle, _from_coords(frames, vecs[:, j])) for j in range(vecs.shape[1])
     )
-    n, p, q = frames.shape
-    L_ambient = np.einsum(
-        "ipa,iajb,jqb->ipjq", frames, L_frame.reshape(n, q, n, q), frames
-    ).reshape(n * p, n * p)
-    for arr in (L_ambient, L_frame, frames):
+    for arr in (L_frame, frames):
         arr.setflags(write=False)
     vals = vals.copy()
     vals.setflags(write=False)
     return ReductionWorkspace(
         bundle=bundle,
         functional=functional,
-        L_matrix=L_ambient,
         frames=frames,
         frame_matrix=L_frame,
         kernel_basis=basis,
@@ -209,15 +178,9 @@ def build_reduction_workspace(
     )
 
 
-def _check_workspace_section(workspace, sec):
-    if sec.bundle is not workspace.bundle and sec.bundle.base_map is not workspace.bundle.base_map:
-        if not np.array_equal(sec.bundle.base_map, workspace.bundle.base_map):
-            raise ValueError("section belongs to a different bundle")
-
-
 def kernel_coordinates(workspace, sec):
     """L2 pairings <u, phi_j>, an l-vector."""
-    _check_workspace_section(workspace, sec)
+    _check_same_bundle(workspace.bundle, sec)
     w = workspace.bundle.mesh.quad_weights
     return np.array(
         [
@@ -243,7 +206,7 @@ def project_onto_kernel(workspace, sec):
 
 def apply_N(workspace, u):
     """N(u) = P_K u + M_F(u)."""
-    _check_workspace_section(workspace, u)
+    _check_same_bundle(workspace.bundle, u)
     pk = project_onto_kernel(workspace, u)
     mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
     return section(workspace.bundle, pk.values + mf.values)
@@ -269,7 +232,7 @@ def invert_N(workspace, f, return_info=False):
     the residual tolerance is not met within newton_max_iter iterations,
     which operationally marks f as outside the inversion neighborhood.
     """
-    _check_workspace_section(workspace, f)
+    _check_same_bundle(workspace.bundle, f)
     bundle = workspace.bundle
     h = bundle.mesh.spacing
     fnorm = l2_norm(f)
@@ -379,7 +342,7 @@ def sandwich_check(workspace, xi, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND)
 
 def approximation_check(workspace, u):
     """lhs = |F(u) - F(Psi(P_K u))| and rhs = ||M_F(u)||^2."""
-    _check_workspace_section(workspace, u)
+    _check_same_bundle(workspace.bundle, u)
     bundle, functional = workspace.bundle, workspace.functional
     fu = functional_value(bundle, functional, u)
     psi = invert_N(workspace, project_onto_kernel(workspace, u))
@@ -391,18 +354,21 @@ def approximation_check(workspace, u):
 # -- sampled sweeps for reports and acceptance -----------------------------
 
 
-def _random_smooth_section(bundle, rng, modes=4):
-    """Seeded random low-frequency section, L2-normalized."""
-    mesh = bundle.mesh
-    theta = mesh.node_angles
-    p = bundle.target.ambient_dim
-    field = np.zeros((mesh.n_nodes, p))
+def _random_fiber_field(bundle, rng, modes=4):
+    """Seeded low-frequency section: the fiber projection of the sum over
+    m = 1..modes of a_m cos(m theta) + b_m sin(m theta), with a_m and b_m
+    drawn uniform on (-1, 1)^p."""
+    theta = bundle.mesh.node_angles
+    field = np.zeros_like(bundle.base_map)
     for m in range(1, modes + 1):
-        coef = rng.uniform(-1.0, 1.0, size=(2, p))
-        field += np.outer(np.cos(m * theta), coef[0]) + np.outer(
-            np.sin(m * theta), coef[1]
-        )
-    sec = section(bundle, np.einsum("nij,nj->ni", bundle.projectors, field))
+        coef = rng.uniform(-1.0, 1.0, size=(2, field.shape[1]))
+        field += np.outer(np.cos(m * theta), coef[0]) + np.outer(np.sin(m * theta), coef[1])
+    return project_section(bundle, field)
+
+
+def _random_smooth_section(bundle, rng):
+    """Seeded random low-frequency section, L2-normalized."""
+    sec = _random_fiber_field(bundle, rng)
     norm = l2_norm(sec)
     if norm < 1e-12:
         raise RuntimeError("degenerate random section draw")

@@ -9,8 +9,8 @@ of that formula gives the differential dPi_x, a symmetric matrix, and the
 level set G(y) = sum y^2 / a^2 - 1 gives the unit normal and the second
 fundamental form. The sphere keeps two shortcuts, x / |x| for Pi and its
 three-operation dPi, because they are cheaper on the flow's hot path. A
-tube radius bounds the neighborhood on which projection and chart
-operations are trusted.
+tube radius below the reach a_min^2 / a_max bounds the neighborhood on
+which projection and chart operations are trusted.
 """
 
 from dataclasses import dataclass
@@ -47,10 +47,15 @@ class TargetManifold:
             raise ValueError("ellipsoid needs at least two semi-axes")
         if np.any(axes <= 0.0):
             raise ValueError("semi-axes must be positive")
+        # Nearest-point projection is single-valued and smooth only within
+        # the reach, the smallest radius of curvature a_min^2 / a_max.
+        reach = float(axes.min() ** 2 / axes.max())
         if tube_radius is None:
-            tube_radius = 0.25 * float(axes.min())
-        if not 0.0 < tube_radius < float(axes.min()):
-            raise ValueError("tube_radius must lie in (0, min semi-axis)")
+            tube_radius = min(0.25 * float(axes.min()), 0.5 * reach)
+        if not 0.0 < tube_radius < reach:
+            raise ValueError(
+                f"tube_radius must lie in (0, reach a_min^2 / a_max = {reach:.6g})"
+            )
         axes = axes.copy()
         axes.setflags(write=False)
         return TargetManifold("ellipsoid", int(axes.size), axes, float(tube_radius))

@@ -25,9 +25,9 @@ import numpy as np
 
 from .bundles import project_section, section
 from .mesh import (
-    curvature_field,
+    build_circle_mesh,
     differentiate,
-    frame_field,
+    forward_difference,
     integrate,
     laplace_beltrami,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "with_quartic_penalty",
     "fiber_frames",
     "frame_linearization",
-    "linearization_matrix",
     "quadratic_remainder_check",
     "ellipticity_check",
 ]
@@ -105,11 +104,6 @@ def tangential_tension(state):
     return state.target.tangent_part(state.values, tension_field(state))
 
 
-def _staggered_energy(mesh, values):
-    diff = np.roll(values, -1, axis=0) - values
-    return float(np.sum(diff * diff) / mesh.spacing)
-
-
 def first_variation_check(state, direction, step=1e-5):
     """Compare the differenced energy variation with -2 <M_E, xi>.
 
@@ -132,7 +126,11 @@ def first_variation_check(state, direction, step=1e-5):
     target, mesh = state.target, state.mesh
     plus = target.project_nearest(state.values + step * xi)
     minus = target.project_nearest(state.values - step * xi)
-    lhs = (_staggered_energy(mesh, plus) - _staggered_energy(mesh, minus)) / (2.0 * step)
+
+    def staggered_energy(values):
+        return integrate(mesh, np.sum(forward_difference(mesh, values) ** 2, axis=1))
+
+    lhs = (staggered_energy(plus) - staggered_energy(minus)) / (2.0 * step)
     mt = tangential_tension(state)
     rhs = -2.0 * float(np.sum(mesh.quad_weights * np.sum(mt * xi, axis=1)))
     mismatch = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-9)
@@ -255,15 +253,13 @@ def general_euler_lagrange(bundle, functional, sec):
 
     Generic integrands are assembled by differentiating the staggered
     quadrature: node j receives the averaged z-partial minus the
-    difference of the fiber-projected eta-flux, minus the contraction of
-    the mean curvature with the frame (identically zero on the circle,
-    kept for the record). The result is projected into the fibers.
+    difference of the fiber-projected eta-flux. The result is projected
+    into the fibers.
     """
     _require_validity(functional, sec.values)
     if functional.euler_lagrange_fn is not None:
         raw = functional.euler_lagrange_fn(bundle, sec.values)
         return project_section(bundle, raw)
-    mesh = bundle.mesh
     n, p = sec.values.shape
     mid, vbar, pbar, eta = _staggered_data(bundle, sec.values)
     fz = np.empty((n, p))
@@ -274,23 +270,11 @@ def general_euler_lagrange(bundle, functional, sec):
         flux[i] = pbar[i] @ fe
     fz_prev = np.roll(fz, 1, axis=0)
     flux_prev = np.roll(flux, 1, axis=0)
-    # H . tau vanishes identically on the circle; the term is kept so the
-    # assembly states the full integration-by-parts formula.
-    hcoef = np.einsum("na,na->n", curvature_field(mesh), frame_field(mesh))
-    raw = (
-        0.5 * (fz + fz_prev)
-        - (flux - flux_prev) / mesh.spacing
-        + hcoef[:, None] * 0.5 * (flux + flux_prev)
-    )
+    raw = 0.5 * (fz + fz_prev) - (flux - flux_prev) / bundle.mesh.spacing
     return project_section(bundle, raw)
 
 
 # -- the energy functional of a chart --------------------------------------
-
-
-def _compact_laplacian(mesh, values):
-    h = mesh.spacing
-    return (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) / (h * h)
 
 
 def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
@@ -306,6 +290,7 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
     """
     mesh, target = bundle.mesh, bundle.target
     base = bundle.base_map
+    compact = build_circle_mesh(mesh.n_nodes, diff_order=2)
     state = MapState(mesh, target, base)
     resid = float(np.sqrt(np.sum(mesh.quad_weights * np.sum(tangential_tension(state) ** 2, axis=1))))
     e0 = _ambient_energy(mesh, base)
@@ -320,7 +305,7 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
 
     def el_fn(bnd, values):
         x = bnd.base_map + values
-        lap = _compact_laplacian(bnd.mesh, bnd.target.project_nearest(x))
+        lap = laplace_beltrami(compact, bnd.target.project_nearest(x))
         # dPi is symmetric, so it is its own transpose; project_nearest has
         # just checked that x lies in the tube.
         return bnd.target._differential(x, -2.0 * lap)
@@ -481,28 +466,19 @@ def _detect_stencil_radius(bundle, functional, at_values, frames, step):
     return radius
 
 
-def _packed_probe_nodes(n, separation):
-    """Cover 0..n-1 by groups of nodes pairwise at least `separation` apart
-    on the circle; greedy, deterministic."""
-    remaining = list(range(n))
-    groups = []
-    while remaining:
-        taken = []
-        rest = []
-        for i in remaining:
-            ok = True
-            if taken:
-                if i - taken[-1] < separation:
-                    ok = False
-                elif n - i + taken[0] < separation:
-                    ok = False
-            if ok:
-                taken.append(i)
-            else:
-                rest.append(i)
-        groups.append(taken)
-        remaining = rest
-    return groups
+def _arc_colouring(n, separation):
+    """Colour classes of the nodes 0..n-1, members of a class pairwise at
+    least `separation` apart around the circle.
+
+    The circle is cut into g = n // separation nearly equal arcs, each at
+    least `separation` long, and a node's colour is its offset inside its
+    arc. That takes ceil(n / g) colours, the fewest any such colouring
+    can use.
+    """
+    g = n // separation
+    starts = (np.arange(g) * n) // g
+    lengths = np.diff(starts, append=n)
+    return [starts[lengths > c] + c for c in range(int(lengths.max()))]
 
 
 def frame_linearization(
@@ -513,9 +489,12 @@ def frame_linearization(
     Columns are centered differences of the assembled field along the
     frame directions; the matrix acts on frame coordinates (node-major,
     p-1 per node) and is returned with its raw asymmetry. When the
-    operator is banded (every functional built here has stencil radius
-    1) many columns are probed in one evaluation; pass stencil_radius=None
-    to force the dense column-by-column path.
+    operator is banded with stencil radius r (every functional built here
+    has r = 1), nodes 2r+1 or more apart answer in disjoint row windows,
+    so the nodes are coloured by their offset inside 2r+1-long arcs of the
+    circle and one difference probe per colour and frame direction fills
+    all of that colour's columns (Curtis, Powell and Reid). Pass
+    stencil_radius=None to force the dense column-by-column path.
     """
     n, p = bundle.base_map.shape
     q = p - 1
@@ -536,32 +515,17 @@ def frame_linearization(
                 L[:, i * q + a] = np.einsum("njb,nj->nb", frames, col).reshape(m)
     else:
         window = np.arange(-stencil_radius, stencil_radius + 1)
-        for group in _packed_probe_nodes(n, 2 * stencil_radius + 1):
+        for group in _arc_colouring(n, 2 * stencil_radius + 1):
+            rows = (group[:, None] + window) % n
+            row_index = rows[:, :, None] * q + np.arange(q)
             for a in range(q):
                 d = np.zeros((n, p))
-                for i in group:
-                    d[i] = frames[i, :, a]
+                d[group] = frames[group, :, a]
                 col = _fd_response(bundle, functional, at_values, d, step)
-                for i in group:
-                    rows = (i + window) % n
-                    block = np.einsum("njb,nj->nb", frames[rows], col[rows])
-                    for r, j in enumerate(rows):
-                        L[j * q : j * q + q, i * q + a] = block[r]
+                block = np.einsum("gwjb,gwj->gwb", frames[rows], col[rows])
+                L[row_index, (group * q + a)[:, None, None]] = block
     asym = float(np.max(np.abs(L - L.T)))
     return 0.5 * (L + L.T), asym
-
-
-def linearization_matrix(bundle, functional, at_section=None, step=1e-6):
-    """Ambient (n*p, n*p) node-major linearization, zero on normal directions."""
-    at_values = None if at_section is None else at_section.values
-    frames = fiber_frames(bundle)
-    Lf, _ = frame_linearization(bundle, functional, at_values, step, frames)
-    n, p = bundle.base_map.shape
-    q = p - 1
-    L4 = Lf.reshape(n, q, n, q)
-    t1 = np.einsum("ipa,iajb->ipjb", frames, L4)
-    t2 = np.einsum("ipjb,jqb->ipjq", t1, frames)
-    return t2.reshape(n * p, n * p)
 
 
 def quadratic_remainder_check(bundle, functional, s1, s2, lin=None, frames=None):

@@ -4,10 +4,8 @@ import pytest
 from loopflow.bundles import (
     build_pullback_bundle,
     bundle_gradient,
-    bundle_gradient_tensor,
     chart_decode,
     chart_encode,
-    decode_points,
     l2_inner,
     l2_norm,
     project_section,
@@ -99,17 +97,6 @@ def test_bundle_gradient_of_vertical_wave():
     np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
-def test_bundle_gradient_tensor_shape():
-    b = great_circle_bundle(16)
-    rng = np.random.default_rng(1)
-    s = project_section(b, rng.standard_normal((16, 3)))
-    T = bundle_gradient_tensor(b, s)
-    assert T.shape == (16, 2, 3)
-    g = bundle_gradient(b, s)
-    np.testing.assert_allclose(np.einsum("nab,na->nb", T, np.stack(
-        [-np.sin(b.mesh.node_angles), np.cos(b.mesh.node_angles)], axis=1)), g, atol=1e-12)
-
-
 def test_sobolev_norm_ordering_and_values():
     b = great_circle_bundle(48)
     th = b.mesh.node_angles
@@ -167,9 +154,9 @@ def test_chart_encode_rejects_far_loops():
         chart_encode(b, -b.base_map)
 
 
-def test_decode_points_zero_is_base():
+def test_chart_decode_zero_is_base():
     b = great_circle_bundle(16)
-    np.testing.assert_allclose(decode_points(b, np.zeros((16, 3))), b.base_map)
+    np.testing.assert_allclose(chart_decode(b, zero_section(b)), b.base_map)
 
 
 def test_section_shape_mismatch():

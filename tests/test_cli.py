@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from loopflow import cli
 from loopflow.cli import main, make_initial_map
 from loopflow.config import parse_config
 from loopflow.variational import energy
@@ -189,6 +190,20 @@ def test_loj_estimate_artifacts(tmp_path):
     assert lines[0] == "value_gap,grad_norm,source"
     sources = {line.split(",")[2] for line in lines[1:]}
     assert sources == {"flow", "perturbation"}
+
+
+def test_loj_estimate_fails_on_the_workspace_before_the_flow(tmp_path, monkeypatch):
+    def bad_workspace(*args, **kwargs):
+        raise ValueError("no spectral gap")
+
+    flows = []
+    monkeypatch.setattr(cli, "build_reduction_workspace", bad_workspace)
+    monkeypatch.setattr(cli, "run_flow", lambda *args, **kwargs: flows.append(args))
+    config_path = write_config(tmp_path, SMALL_FLOW)
+    out = str(tmp_path / "out")
+    assert main(["loj-estimate", "--config", config_path, "--out", out]) == 1
+    assert read_json(out, "error.json")["error"] == "no spectral gap"
+    assert flows == []
 
 
 def test_reduce_run_artifacts(tmp_path):

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from loopflow.mesh import (
-    backward_difference,
     build_circle_mesh,
-    curvature_field,
     differentiate,
     forward_difference,
-    frame_field,
     integrate,
     laplace_beltrami,
-    mean_curvature,
-    tangent_frame,
 )
+
+
+def backward_difference(mesh, f):
+    """(f_i - f_{i-1}) / h, the forward difference shifted by one node."""
+    return np.roll(forward_difference(mesh, f), 1, axis=0)
 
 
 def test_build_circle_mesh_layout():
@@ -135,20 +135,6 @@ def test_field_shape_mismatch_rejected():
         differentiate(mesh, np.zeros(17))
     with pytest.raises(ValueError, match="scalar"):
         integrate(mesh, np.zeros((16, 2)))
-
-
-def test_tangent_and_curvature_frames():
-    mesh = build_circle_mesh(20)
-    t = tangent_frame(mesh, 5)
-    a = mesh.node_angles[5]
-    np.testing.assert_allclose(t, [-np.sin(a), np.cos(a)])
-    kv = mean_curvature(mesh, 5)
-    np.testing.assert_allclose(kv, [-np.cos(a), -np.sin(a)])
-    # curvature is the derivative of the tangent along the circle
-    frames = frame_field(mesh)
-    np.testing.assert_allclose(differentiate(mesh, frames), curvature_field(mesh), atol=2e-2)
-    with pytest.raises(IndexError):
-        tangent_frame(mesh, 20)
 
 
 def test_stencils_commute_with_rotation():

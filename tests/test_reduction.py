@@ -4,10 +4,10 @@ import pytest
 from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import (
+    _spectral_split,
     apply_N,
     approximation_check,
     build_reduction_workspace,
-    compute_kernel,
     invert_N,
     kernel_combination,
     kernel_coordinates,
@@ -63,63 +63,43 @@ def test_workspace_frame_matrix_symmetric(energy_ws):
     assert float(np.max(np.abs(F - F.T))) < 1e-12  # symmetrized on return
 
 
-def test_compute_kernel_from_ambient_matrix(energy_ws):
-    basis, vals = compute_kernel(energy_ws.L_matrix, energy_ws.bundle)
-    assert basis.shape == (3, 64, 3)
+def test_compute_kernel_basis_is_orthonormal(energy_ws):
+    h = energy_ws.bundle.mesh.spacing
+    vecs, vals, *_ = _spectral_split(energy_ws.frame_matrix, h, 1e-6)
+    assert vecs.shape == (64 * 2, 3)
     assert vals.shape == (3,)
-    mesh = energy_ws.bundle.mesh
-    G = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            G[i, j] = float(
-                np.sum(mesh.quad_weights * np.sum(basis[i] * basis[j], axis=1))
-            )
-    np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
+    # frame coordinates are orthonormal per node, so the L2 pairing is h x Euclidean
+    np.testing.assert_allclose(h * vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_compute_kernel_empty_for_shifted_operator(energy_ws):
-    # adding the fiberwise identity pushes every eigenvalue up by one, so
-    # nothing survives the relative threshold
-    b = energy_ws.bundle
-    n, p = b.base_map.shape
-    shift = np.zeros((n * p, n * p))
-    for i in range(n):
-        shift[i * p : (i + 1) * p, i * p : (i + 1) * p] = b.projectors[i]
-    basis, vals = compute_kernel(energy_ws.L_matrix + shift, b)
-    assert basis.shape == (0, n, p)
+    # adding the identity on frame coordinates pushes every eigenvalue up by
+    # one, so nothing survives the relative threshold
+    L = energy_ws.frame_matrix
+    vecs, vals, *_ = _spectral_split(L + np.eye(L.shape[0]), energy_ws.bundle.mesh.spacing, 1e-6)
+    assert vecs.shape == (L.shape[0], 0)
     assert vals.size == 0
 
 
 def test_compute_kernel_rejects_asymmetry(energy_ws):
-    # Perturb a z-component entry: e3 is tangent at every equator node, so
-    # the defect survives the fiber-frame reduction instead of being
-    # annihilated as a normal direction.
-    b = energy_ws.bundle
-    L = energy_ws.L_matrix.copy()
+    L = energy_ws.frame_matrix.copy()
     L[2, 5] += 1.0
     with pytest.raises(ValueError, match="asymmetry"):
-        compute_kernel(L, b)
+        _spectral_split(L, energy_ws.bundle.mesh.spacing, 1e-6)
 
 
 def test_compute_kernel_rejects_missing_gap(energy_ws):
     # synthesize a spectrum whose first discarded eigenvalue sits within
     # 10x of the largest kept one
-    ws = energy_ws
-    b = ws.bundle
-    n, p = b.base_map.shape
-    q = p - 1
-    m = n * q
+    m = energy_ws.frame_matrix.shape[0]
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     d = np.full(m, 1.0)
     d[0] = 1e-7
     d[1] = 5e-7
     d[2] = 4e-6  # within 10x of 5e-7 but above threshold 1e-6
-    Lf = (Q * d) @ Q.T
-    frames = ws.frames
-    L4 = np.einsum("ipa,iajb,jqb->ipjq", frames, Lf.reshape(n, q, n, q), frames)
     with pytest.raises(ValueError, match="spectral gap"):
-        compute_kernel(L4.reshape(n * p, n * p), b)
+        _spectral_split((Q * d) @ Q.T, energy_ws.bundle.mesh.spacing, 1e-6)
 
 
 def test_kernel_coordinates_round_trip(energy_ws):
@@ -133,6 +113,17 @@ def test_kernel_coordinates_round_trip(energy_ws):
     )
     with pytest.raises(ValueError, match="length"):
         kernel_combination(ws, np.array([1.0, 2.0]))
+
+
+def test_sections_of_another_bundle_are_rejected(energy_ws):
+    other = equator_bundle(64)
+    same = section(other, np.asarray(energy_ws.kernel_basis[0].values))
+    np.testing.assert_allclose(kernel_coordinates(energy_ws, same), [1.0, 0.0, 0.0], atol=1e-12)
+    tilted = build_pullback_bundle(
+        other.mesh, other.target, other.base_map[:, [0, 2, 1]]
+    )
+    with pytest.raises(ValueError, match="different bundle"):
+        apply_N(energy_ws, section(tilted, np.zeros_like(tilted.base_map)))
 
 
 def test_apply_N_at_zero(energy_ws):

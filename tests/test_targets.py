@@ -31,6 +31,25 @@ def test_ellipsoid_constructor():
         TargetManifold.ellipsoid((1.0, -2.0))
 
 
+def test_ellipsoid_tube_stays_inside_the_reach():
+    # reach a_min^2 / a_max = 0.2; a quarter of a_min would pass it
+    e = TargetManifold.ellipsoid((1.0, 1.0, 5.0))
+    assert e.tube_radius == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="reach"):
+        TargetManifold.ellipsoid((1.0, 1.0, 5.0), tube_radius=0.25)
+    with pytest.raises(ValueError, match="reach"):
+        TargetManifold.ellipsoid((1.0, 1.0, 5.0), tube_radius=0.2)
+    # near the pole, where the curvature radius is the reach, nearby inputs
+    # project to nearby points, and points past the tube fail by name
+    a = e.project_nearest(np.array([0.02, 0.0, 4.95]))
+    b = e.project_nearest(np.array([-0.02, 0.0, 4.95]))
+    assert np.linalg.norm(a - b) < 0.1
+    with pytest.raises(ValueError, match="tube"):
+        e.project_nearest(np.array([0.0, 0.0, 4.78]))
+    # targets with a_max <= 2 a_min keep a quarter of a_min
+    assert TargetManifold.ellipsoid((1.0, 1.0, 2.0)).tube_radius == 0.25
+
+
 def test_defining_residual_and_guard():
     s = TargetManifold.sphere(3)
     assert float(s.defining_residual(np.array([0.0, 1.0, 0.0]))) < 1e-15

@@ -13,6 +13,8 @@ from loopflow.mesh import build_circle_mesh, differentiate, integrate
 from loopflow.targets import TargetManifold
 from loopflow.variational import (
     MapState,
+    _arc_colouring,
+    _detect_stencil_radius,
     ellipticity_check,
     energy,
     energy_functional_on_bundle,
@@ -21,7 +23,6 @@ from loopflow.variational import (
     frame_linearization,
     functional_value,
     general_euler_lagrange,
-    linearization_matrix,
     make_functional_spec,
     map_state,
     quadratic_remainder_check,
@@ -449,15 +450,48 @@ def test_fiber_frames_orthonormal_and_vertical_first():
     np.testing.assert_allclose(np.abs(frames[5][:, 0]), [0, 0, 1], atol=1e-12)
 
 
-def test_frame_linearization_banded_equals_dense():
-    b = equator_bundle(24)
+def test_arc_colouring_is_a_minimal_separated_partition():
+    for r in (1, 2, 3):
+        sep = 2 * r + 1
+        for n in range(max(8, 2 * sep), 257):
+            groups = _arc_colouring(n, sep)
+            nodes = np.sort(np.concatenate(groups))
+            np.testing.assert_array_equal(nodes, np.arange(n))
+            assert len(groups) == -(-n // (n // sep))
+            for g in groups:
+                gaps = np.diff(np.append(g, g[0] + n))
+                assert gaps.min() >= sep, (n, r, g)
+
+
+def assert_banded_equals_dense(b):
     func = energy_functional_on_bundle(b)
     frames = fiber_frames(b)
+    zero = np.zeros_like(b.base_map)
+    assert _detect_stencil_radius(b, func, zero, frames, 1e-6) == 1
     L_auto, asym_auto = frame_linearization(b, func, frames=frames)
     L_dense, asym_dense = frame_linearization(b, func, frames=frames, stencil_radius=None)
     np.testing.assert_allclose(L_auto, L_dense, atol=1e-8)
     assert asym_auto < 1e-4
     assert asym_dense < 1e-4
+
+
+def test_frame_linearization_banded_equals_dense():
+    assert_banded_equals_dense(equator_bundle(24))
+
+
+@pytest.mark.parametrize(
+    "n, order, axes",
+    [(25, 2, None), (31, 2, None), (25, 4, None), (25, 2, (1.0, 1.0, 1.3))],
+    ids=["n25", "n31", "order4", "ellipsoid"],
+)
+def test_frame_linearization_banded_equals_dense_across_the_wrap(n, order, axes):
+    # n is not a multiple of the window 2r + 1 = 3, so the arcs have
+    # unequal lengths and the last colour class is short.
+    mesh = build_circle_mesh(n, order)
+    t = TargetManifold.sphere(3) if axes is None else TargetManifold.ellipsoid(axes)
+    th = mesh.node_angles
+    base = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1) * t.semi_axes
+    assert_banded_equals_dense(build_pullback_bundle(mesh, t, base))
 
 
 def test_linearization_kernel_contains_jacobi_fields():
@@ -478,15 +512,6 @@ def test_linearization_kernel_contains_jacobi_fields():
     for f in fields:
         coords = np.einsum("npa,np->na", frames, f).reshape(-1)
         assert np.max(np.abs(L @ coords)) < 1e-5 * scale
-
-
-def test_linearization_matrix_kills_normal_directions():
-    b = equator_bundle(16)
-    func = energy_functional_on_bundle(b)
-    L = linearization_matrix(b, func)
-    normal = b.base_map.reshape(-1)
-    np.testing.assert_allclose(L @ normal, 0.0, atol=1e-9)
-    np.testing.assert_allclose(normal @ L, 0.0, atol=1e-9)
 
 
 def test_quadratic_remainder_scaling():
