@@ -211,8 +211,8 @@ def _flow_config(config, seed):
 
 def _run_flow(config, outdir, seed):
     state = make_initial_map(config, seed)
-    trace = run_flow(state, _flow_config(config, seed))
     stride = config.output.stride
+    trace = run_flow(state, _flow_config(config, seed), distance_stride=stride)
     n = len(trace.times)
     indices = list(range(0, n, stride))
     if indices[-1] != n - 1:
@@ -291,7 +291,7 @@ def _run_loj_estimate(config, outdir, seed):
     # The two draw from independent generators, so the order is free.
     pert_gaps, pert_grads = _perturbation_pairs(config, seed)
     state = make_initial_map(config, seed)
-    trace = run_flow(state, _flow_config(config, seed), fill_distances=False)
+    trace = run_flow(state, _flow_config(config, seed), distance_stride=None)
     e_inf = float(trace.energies[-1])
     traj_gaps, traj_grads = trajectory_pairs(trace)
     rows = [(g, d, "flow") for g, d in zip(traj_gaps, traj_grads)]

@@ -10,10 +10,11 @@ O(h^2) normal residue that never decays, while the tangential norm is
 the actual constrained gradient and is what the dissipation identity
 and the stopping rule see.
 
-Traces store scalars per step. Distances to the terminal state are
-filled in afterwards by replaying the (deterministic) trajectory against
-the computed limit, which costs a second integration instead of holding
-every intermediate map in memory.
+Traces store scalars per step. For dist_to_limit the flow also keeps a
+copy of the map at every distance_stride-th step, in preallocated blocks
+of rows, and measures each kept map against the terminal state once the
+flow stops: the trajectory is integrated once, and the kept maps cost
+(recorded rows) x n x p x 8 bytes.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import integrate
-from .variational import MapState, energy, tangential_tension, tension_field
+from .variational import MapState, energy, tension_field
 
 __all__ = [
     "FlowConfig",
@@ -36,6 +37,11 @@ _INTEGRATORS = ("projected_euler", "projected_rk4")
 
 # Length of each integrator's real stability interval [-c, 0].
 _STABILITY_INTERVAL = {"projected_euler": 2.0, "projected_rk4": 2.785}
+
+# run_flow keeps maps in blocks of this many rows: one buffer sized for
+# every step up to t_max would be reserved at once, and a long horizon
+# that the tolerance cuts short would fail to allocate.
+_KEPT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -64,18 +70,14 @@ class FlowTrace:
     config_echo: dict = field(default_factory=dict)
 
 
-def _grad_norm(state):
-    mt = tangential_tension(state)
-    return float(np.sqrt(integrate(state.mesh, np.sum(mt * mt, axis=1))))
+def _step_values(mesh, target, values, dt, integrator, k1):
+    """Advance values by dt; k1 is the tension field at values."""
 
-
-def _step_values(mesh, target, values, dt, integrator):
     def velocity(v):
         return tension_field(MapState(mesh, target, v))
 
     if integrator == "projected_euler":
-        return target.project_nearest(values + dt * velocity(values))
-    k1 = velocity(values)
+        return target.project_nearest(values + dt * k1)
     u1 = target.project_nearest(values + 0.5 * dt * k1)
     k2 = velocity(u1)
     u2 = target.project_nearest(values + 0.5 * dt * k2)
@@ -107,45 +109,58 @@ def _check_stable(mesh, dt, integrator):
 def flow_step(state, dt, integrator="projected_rk4"):
     """One explicit step of du/dt = M_E(u) with projection after each stage."""
     _check_stable(state.mesh, dt, integrator)
-    new_values = _step_values(state.mesh, state.target, state.values, dt, integrator)
+    new_values = _step_values(
+        state.mesh, state.target, state.values, dt, integrator, tension_field(state)
+    )
     return MapState(state.mesh, state.target, new_values)
 
 
-def run_flow(initial, config, fill_distances=True):
+def run_flow(initial, config, distance_stride=1):
     """Integrate until t_max or the tangential gradient drops below tolerance.
 
-    Every step is recorded. dist_to_limit is computed in a second pass
-    against the terminal state; the integrator is deterministic, so the
-    replay reproduces the trajectory exactly.
+    Every step's time, energy and gradient norm is recorded. The map at
+    every distance_stride-th step (and the terminal map) is kept, and
+    dist_to_limit holds its L2 distance to the terminal state; the other
+    rows, and every row when distance_stride is None, are NaN. Memory for
+    the kept maps is (recorded rows) x n x p x 8 bytes. The tension field
+    computed for the recorded gradient norm is reused as the first stage
+    of the next step.
     """
     mesh, target = initial.mesh, initial.target
     h = mesh.spacing
     dt = config.dt_factor * h * h
     _check_stable(mesh, dt, config.integrator)
+    if distance_stride is not None and distance_stride < 1:
+        raise ValueError("distance_stride must be at least 1 or None")
     n_max = int(np.ceil(config.t_max / dt))
     times, energies, grads = [], [], []
     values = initial.values
-    state = MapState(mesh, target, values)
+    kept = []
     t = 0.0
     for k in range(n_max + 1):
+        state = MapState(mesh, target, values)
+        tension = tension_field(state)
+        mt = target.tangent_part(values, tension)
         times.append(t)
         energies.append(energy(state))
-        grads.append(_grad_norm(state))
+        grads.append(float(np.sqrt(integrate(mesh, np.sum(mt * mt, axis=1)))))
+        if distance_stride is not None and k % distance_stride == 0:
+            block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
+            if slot == 0:
+                kept.append(np.empty((_KEPT_BLOCK_ROWS,) + values.shape))
+            kept[block][slot] = values
         if grads[-1] < config.stop_grad_tol or k == n_max:
             break
-        state = MapState(
-            mesh, target, _step_values(mesh, target, state.values, dt, config.integrator)
-        )
+        values = _step_values(mesh, target, values, dt, config.integrator, tension)
         t += dt
-    final = state.values
-    dist = np.zeros(len(times))
-    if fill_distances:
-        values = initial.values
-        for k in range(len(times)):
-            diff = values - final
+    dist = np.full(len(times), np.nan)
+    if distance_stride is not None:
+        for row, k in enumerate(range(0, len(times), distance_stride)):
+            block, slot = divmod(row, _KEPT_BLOCK_ROWS)
+            diff = kept[block][slot] - values
             dist[k] = float(np.sqrt(integrate(mesh, np.sum(diff * diff, axis=1))))
-            if k < len(times) - 1:
-                values = _step_values(mesh, target, values, dt, config.integrator)
+        # the terminal state is the limit itself
+        dist[-1] = 0.0
     echo = {
         "dt": dt,
         "dt_factor": config.dt_factor,
@@ -238,7 +253,7 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * dt * k1)
         k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + 0.5 * dt * k3)
+        k4 = rhs(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if float(np.linalg.norm(x)) > 1e6:
             raise RuntimeError(f"finite-dimensional flow diverged at t = {t:.3f}")

@@ -106,7 +106,7 @@ def flow_trace():
     config = FlowConfig(
         dt_factor=0.2, t_max=50.0, stop_grad_tol=1e-8, integrator="projected_rk4", seed=7
     )
-    return run_flow(state, config, fill_distances=False)
+    return run_flow(state, config, distance_stride=None)
 
 
 def test_criterion_01_energy_matches_discretization_oracle():

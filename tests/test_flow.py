@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from loopflow import flow as flow_module
+from loopflow.cli import make_initial_map
+from loopflow.config import parse_config
 from loopflow.flow import (
     FlowConfig,
     FlowTrace,
@@ -9,10 +12,10 @@ from loopflow.flow import (
     flow_step,
     run_flow,
 )
-from loopflow.mesh import build_circle_mesh
+from loopflow.mesh import build_circle_mesh, integrate
 from loopflow.polynomials import polynomial
 from loopflow.targets import TargetManifold
-from loopflow.variational import MapState, energy, tangential_tension
+from loopflow.variational import MapState, energy, tangential_tension, tension_field
 
 
 def perturbed_equator(n, amplitude=0.05):
@@ -117,9 +120,94 @@ def test_flow_replay_is_deterministic():
 
 def test_flow_without_distance_fill():
     config = FlowConfig(dt_factor=0.25, t_max=0.5)
-    trace = run_flow(perturbed_equator(16), config, fill_distances=False)
+    trace = run_flow(perturbed_equator(16), config, distance_stride=None)
     assert not trace.config_echo["stopped_on_tolerance"]
-    assert np.all(trace.dist_to_limit == 0.0)
+    assert np.all(np.isnan(trace.dist_to_limit))
+    with pytest.raises(ValueError, match="distance_stride"):
+        run_flow(perturbed_equator(16), config, distance_stride=0)
+
+
+def perturbed_ellipsoid(n):
+    config = parse_config(
+        '{"domain": {"n_nodes": %d}, "target": {"kind": "ellipsoid", '
+        '"ambient_dim": 3, "semi_axes": [1.0, 1.0, 1.3]}}' % n
+    )
+    return make_initial_map(config, seed=7)
+
+
+def replayed_trace(initial, config, n_steps):
+    """Records of n_steps public flow_step calls, distances to the last."""
+    mesh = initial.mesh
+    dt = config.dt_factor * mesh.spacing**2
+    states = [initial]
+    for _ in range(n_steps):
+        states.append(flow_step(states[-1], dt, config.integrator))
+    final = states[-1].values
+
+    def norm(field):
+        return float(np.sqrt(integrate(mesh, np.sum(field * field, axis=1))))
+
+    energies = np.array([energy(s) for s in states])
+    grads = np.array([norm(tangential_tension(s)) for s in states])
+    dists = np.array([norm(s.values - final) for s in states])
+    return energies, grads, dists
+
+
+ONE_PASS_CASES = [
+    (perturbed_equator, 16, "projected_rk4"),
+    (perturbed_equator, 16, "projected_euler"),
+    (perturbed_ellipsoid, 8, "projected_rk4"),
+]
+
+
+@pytest.mark.parametrize("make_map, n, integrator", ONE_PASS_CASES)
+def test_one_pass_flow_matches_replayed_steps(make_map, n, integrator):
+    initial = make_map(n)
+    config = FlowConfig(dt_factor=0.2, t_max=2.0, integrator=integrator)
+    trace = run_flow(initial, config)
+    n_steps = trace.config_echo["n_steps"]
+    assert n_steps >= 16
+    energies, grads, dists = replayed_trace(initial, config, n_steps)
+    assert np.array_equal(trace.energies, energies)
+    assert np.array_equal(trace.grad_norms, grads)
+    assert np.array_equal(trace.dist_to_limit, dists)
+
+    strided = run_flow(initial, config, distance_stride=7)
+    recorded = np.zeros(n_steps + 1, dtype=bool)
+    recorded[::7] = True
+    recorded[-1] = True
+    assert np.array_equal(strided.dist_to_limit[recorded], dists[recorded])
+    assert np.all(np.isnan(strided.dist_to_limit[~recorded]))
+
+
+@pytest.mark.parametrize("integrator, per_step", [("projected_rk4", 4), ("projected_euler", 1)])
+def test_flow_evaluates_tension_once_per_stage(monkeypatch, integrator, per_step):
+    calls = []
+
+    def counted(state):
+        calls.append(1)
+        return tension_field(state)
+
+    monkeypatch.setattr(flow_module, "tension_field", counted)
+    config = FlowConfig(dt_factor=0.2, t_max=0.5, integrator=integrator)
+    trace = run_flow(perturbed_equator(16), config)
+    n_steps = trace.config_echo["n_steps"]
+    assert n_steps > 0
+    assert len(calls) == per_step * n_steps + 1
+
+
+def test_kept_maps_follow_the_steps_taken_not_t_max():
+    # a horizon of ~3e13 steps that the tolerance ends after about a
+    # thousand: one buffer sized for every allowed step could not be
+    # allocated, and the run crosses a block of kept maps
+    initial = perturbed_equator(16)
+    config = FlowConfig(dt_factor=0.2, t_max=1e12, stop_grad_tol=1e-8)
+    trace = run_flow(initial, config)
+    assert trace.config_echo["stopped_on_tolerance"]
+    n_steps = trace.config_echo["n_steps"]
+    assert n_steps > flow_module._KEPT_BLOCK_ROWS
+    _, _, dists = replayed_trace(initial, config, n_steps)
+    assert np.array_equal(trace.dist_to_limit, dists)
 
 
 def synthetic_trace(times, energies):
@@ -181,6 +269,19 @@ def test_finite_dim_quartic_follows_power_law():
     window = trace.times >= 5.0
     product = x[window] * np.sqrt(1.0 + 8.0 * trace.times[window])
     assert np.max(np.abs(product - 1.0)) < 0.01
+
+
+def test_finite_dim_flow_is_fourth_order():
+    # dx/dt = -2 x from x = 1 gives x(1) = e^-2; RK4 cuts the error ~16x
+    # each time dt halves
+    f = polynomial({(2,): 1.0})
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        trace = finite_dim_flow(f, [1.0], dt=dt, t_max=1.0)
+        assert trace.times[-1] == pytest.approx(1.0)
+        errors.append(abs(np.sqrt(trace.energies[-1]) - np.exp(-2.0)))
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
 
 
 def test_finite_dim_flow_guards():
