@@ -12,7 +12,10 @@ silently.
 All Newton work happens in frame coordinates. The quadrature weight is
 uniform, so the L2 inner product of sections is h times the Euclidean
 one on coordinates, and the kernel projector is the dense rank-l matrix
-h K K^T.
+h K K^T. Newton is a chord iteration on the workspace's own matrix
+P_K + L(0), and a Jacobian is assembled only when a chord step stops
+halving the residual. The reduced gradient is exact: one assembly at
+Psi(xi.phi) and one linear solve.
 """
 
 from dataclasses import dataclass
@@ -53,6 +56,8 @@ _GAP_FACTOR = 10.0
 _NEWTON_BASIN = 0.1
 _NOISE_FLOOR = 1e-9
 _SANDWICH_BAND = (0.4, 2.1)
+# A chord step is kept while it cuts the residual by at least this factor.
+_CHORD_RATIO = 0.5
 
 
 @dataclass(frozen=True)
@@ -178,25 +183,24 @@ def build_reduction_workspace(
     )
 
 
+def _kernel_values(workspace):
+    """The kernel basis stacked into one (l, n, p) array."""
+    shape = (workspace.kernel_dim,) + workspace.bundle.base_map.shape
+    return np.array([phi.values for phi in workspace.kernel_basis]).reshape(shape)
+
+
 def kernel_coordinates(workspace, sec):
     """L2 pairings <u, phi_j>, an l-vector."""
     _check_same_bundle(workspace.bundle, sec)
     w = workspace.bundle.mesh.quad_weights
-    return np.array(
-        [
-            float(np.sum(w * np.sum(sec.values * phi.values, axis=1)))
-            for phi in workspace.kernel_basis
-        ]
-    )
+    return np.sum(w * np.sum(_kernel_values(workspace) * sec.values, axis=2), axis=1)
 
 
 def kernel_combination(workspace, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (workspace.kernel_dim,):
         raise ValueError(f"xi must have length {workspace.kernel_dim}")
-    values = np.zeros_like(workspace.bundle.base_map)
-    for c, phi in zip(xi, workspace.kernel_basis):
-        values = values + c * phi.values
+    values = np.sum(xi[:, None, None] * _kernel_values(workspace), axis=0)
     return section(workspace.bundle, values)
 
 
@@ -225,12 +229,18 @@ def _kernel_coord_matrix(workspace):
 
 
 def invert_N(workspace, f, return_info=False):
-    """Solve N(u) = f by full Newton from u0 = f.
+    """Solve N(u) = f by chord Newton from u0 = f.
 
-    The Jacobian P_K + L(u) is reassembled at every iterate; a residual
-    increase triggers step halving (up to 8). Raises RuntimeError when
-    the residual tolerance is not met within newton_max_iter iterations,
-    which operationally marks f as outside the inversion neighborhood.
+    The chord matrix starts as the workspace's own P_K + L(0), which
+    costs no assembly. A full chord step is kept while it at least halves
+    the residual or meets newton_tol. Otherwise the Jacobian P_K + L(u)
+    is assembled at the current iterate, becomes the chord matrix, and a
+    Newton step is taken whose residual increase triggers step halving
+    (up to 8). Raises RuntimeError when the residual tolerance is not met
+    within newton_max_iter iterations, which operationally marks f as
+    outside the inversion neighborhood. The info dict holds the residual
+    history, the iteration count, the Jacobian assemblies and the
+    halvings.
     """
     _check_same_bundle(workspace.bundle, f)
     bundle = workspace.bundle
@@ -250,34 +260,47 @@ def invert_N(workspace, f, return_info=False):
         r = f_coords - _to_coords(frames, n_val.values)
         return r, float(np.sqrt(h) * np.linalg.norm(r))
 
+    iters = assemblies = halvings = 0
+
+    def step(jacobian, r):
+        try:
+            return np.linalg.solve(jacobian, r)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"singular Newton system at iteration {iters}") from exc
+
+    chord = pk_mat + workspace.frame_matrix
     u = f_coords.copy()
     r, rnorm = residual(u)
     history = [rnorm]
     converged = rnorm <= workspace.newton_tol
-    iters = 0
     while not converged and iters < workspace.newton_max_iter:
-        L_u, _ = frame_linearization(
-            bundle,
-            workspace.functional,
-            at_values=_from_coords(frames, u),
-            frames=frames,
-            stencil_radius=workspace.stencil_radius,
-        )
-        try:
-            delta = np.linalg.solve(pk_mat + L_u, r)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular Newton system at iteration {iters}") from exc
-        scale = 1.0
-        for _ in range(9):
-            r_new, rnorm_new = residual(u + scale * delta)
-            if rnorm_new < rnorm or rnorm_new <= workspace.newton_tol:
-                break
-            scale *= 0.5
-        else:
-            raise RuntimeError(
-                f"Newton line search stalled at residual {rnorm:.3e} (iteration {iters})"
+        delta = step(chord, r)
+        r_new, rnorm_new = residual(u + delta)
+        # Written so that a NaN residual also refreshes the Jacobian.
+        if not (rnorm_new <= _CHORD_RATIO * rnorm or rnorm_new <= workspace.newton_tol):
+            L_u, _ = frame_linearization(
+                bundle,
+                workspace.functional,
+                at_values=_from_coords(frames, u),
+                frames=frames,
+                stencil_radius=workspace.stencil_radius,
             )
-        u = u + scale * delta
+            assemblies += 1
+            chord = pk_mat + L_u
+            delta = step(chord, r)
+            scale = 1.0
+            for _ in range(9):
+                r_new, rnorm_new = residual(u + scale * delta)
+                if rnorm_new < rnorm or rnorm_new <= workspace.newton_tol:
+                    break
+                scale *= 0.5
+                halvings += 1
+            else:
+                raise RuntimeError(
+                    f"Newton line search stalled at residual {rnorm:.3e} (iteration {iters})"
+                )
+            delta = scale * delta
+        u = u + delta
         r, rnorm = r_new, rnorm_new
         history.append(rnorm)
         iters += 1
@@ -289,7 +312,12 @@ def invert_N(workspace, f, return_info=False):
         )
     result = section(bundle, _from_coords(frames, u))
     if return_info:
-        return result, {"residuals": history, "iterations": iters}
+        return result, {
+            "residuals": history,
+            "iterations": iters,
+            "jacobian_assemblies": assemblies,
+            "halvings": halvings,
+        }
     return result
 
 
@@ -310,16 +338,30 @@ def reduced_function(workspace, xi):
     return functional_value(workspace.bundle, workspace.functional, u)
 
 
-def reduced_gradient(workspace, xi, step=1e-5):
-    xi = np.asarray(xi, dtype=float)
-    grad = np.empty_like(xi)
-    for j in range(xi.size):
-        e = np.zeros_like(xi)
-        e[j] = step
-        grad[j] = (
-            reduced_function(workspace, xi + e) - reduced_function(workspace, xi - e)
-        ) / (2.0 * step)
-    return grad
+def _gradient_at(workspace, u, mf):
+    """Reduced gradient at u = Psi(xi.phi), given mf = M_F(u).
+
+    Differentiating N(Psi(xi.phi)) = xi.phi gives DPsi = (P_K + L(u))^{-1}
+    on the kernel, and that matrix is symmetric, so the gradient is
+    <(P_K + L(u))^{-1} M_F(u), phi_j>: one assembly and one solve.
+    """
+    bundle, frames = workspace.bundle, workspace.frames
+    L_u, _ = frame_linearization(
+        bundle,
+        workspace.functional,
+        at_values=u.values,
+        frames=frames,
+        stencil_radius=workspace.stencil_radius,
+    )
+    x = np.linalg.solve(_kernel_coord_matrix(workspace) + L_u, _to_coords(frames, mf.values))
+    return kernel_coordinates(workspace, section(bundle, _from_coords(frames, x)))
+
+
+def reduced_gradient(workspace, xi):
+    """Exact gradient of f(xi) = F(Psi(sum xi_j phi_j))."""
+    u = reduced_section(workspace, xi)
+    mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
+    return _gradient_at(workspace, u, mf)
 
 
 def sandwich_check(workspace, xi, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND):
@@ -332,7 +374,7 @@ def sandwich_check(workspace, xi, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND)
     u = reduced_section(workspace, xi)
     mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
     m_norm = l2_norm(mf)
-    g_norm = float(np.linalg.norm(reduced_gradient(workspace, xi)))
+    g_norm = float(np.linalg.norm(_gradient_at(workspace, u, mf)))
     if g_norm < noise_floor or m_norm < noise_floor:
         return np.nan, "indeterminate"
     ratio = m_norm / g_norm

@@ -10,7 +10,8 @@ level set G(y) = sum y^2 / a^2 - 1 gives the unit normal and the second
 fundamental form. The sphere keeps two shortcuts, x / |x| for Pi and its
 three-operation dPi, because they are cheaper on the flow's hot path. A
 tube radius below the reach a_min^2 / a_max bounds the neighborhood on
-which projection and chart operations are trusted.
+which projection and chart operations are trusted; a point belongs to it
+when its exact distance |x - Pi(x)| is below the radius.
 """
 
 from dataclasses import dataclass
@@ -79,13 +80,34 @@ class TargetManifold:
             )
 
     def in_tube(self, x):
-        """Conservative check that x is within tube_radius of the manifold."""
-        x = np.asarray(x, dtype=float)
-        y = x / self.semi_axes
-        m = np.sqrt((y * y).sum(-1))
-        # x/m lies on the manifold, so |x - x/m| = |x| |m - 1| / m bounds the
-        # distance above; comparing without dividing also rejects x = 0 and NaN.
-        return bool((np.sqrt((x * x).sum(-1)) * np.abs(m - 1.0) < self.tube_radius * m).all())
+        """Whether every row of x lies within tube_radius of the target."""
+        return self._tube_multiplier(np.asarray(x, dtype=float))[0]
+
+    def _tube_multiplier(self, x):
+        """(inside, t): the tube check of in_tube, and the ellipsoid's
+        multiplier t of every row once it has been solved (else None).
+
+        The sphere's distance ||x| - 1| is exact; it is compared without
+        dividing, which also rejects x = 0 and NaN. On an ellipsoid,
+        |x - Pi(x)| = |t| |Pi(x) / a^2| and |y / a^2| >= 1 / a_max on the
+        target, so a row within the tube has |t| < e = tube_radius * a_max,
+        where the decreasing root function g of _multiplier changes sign.
+        A row where g does not change sign on (-e, e) is outside the tube
+        (x = 0, NaN and points near the centre among them) and fails
+        before the solve. For the others the sign change guarantees the
+        one solve a root, and |t x / (a^2 + t)| is the exact distance.
+        """
+        if self.kind == "sphere":
+            r = np.sqrt((x * x).sum(-1))
+            return bool((r * np.abs(r - 1.0) < self.tube_radius * r).all()), None
+        a2 = self.semi_axes**2
+        edge = self.tube_radius * self.semi_axes.max()
+        g_ends = (a2 * x * x) @ ((a2 + np.array([[-edge], [edge]])) ** -2).T - 1.0
+        if not (g_ends * (1.0, -1.0) > 0.0).all():
+            return False, None
+        t = self._multiplier(x)
+        offset = t * x / (a2 + t)
+        return bool(((offset * offset).sum(-1) < self.tube_radius**2).all()), t
 
     def unit_normal(self, y):
         """Unit normal grad G / |grad G| of the level set at each point y."""
@@ -106,12 +128,13 @@ class TargetManifold:
             raise ValueError(
                 f"point has dimension {x.shape[-1]}, target lives in R^{self.ambient_dim}"
             )
-        if not self.in_tube(x):
+        inside, t = self._tube_multiplier(x)
+        if not inside:
             raise ValueError("point outside the tube neighborhood of the target")
         if self.kind == "sphere":
             return x / np.sqrt((x * x).sum(-1, keepdims=True))
         a2 = self.semi_axes**2
-        return a2 * x / (a2 + self._multiplier(x))
+        return a2 * x / (a2 + t)
 
     def _multiplier(self, x):
         """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).
@@ -131,12 +154,14 @@ class TargetManifold:
         for _ in range(_PROJ_MAX_ITER):
             s = a2 + t
             q = ax2 / (s * s)
-            g = np.sum(q, axis=-1, keepdims=True) - 1.0
-            if np.all(np.abs(g) <= _PROJ_TOL):
+            # Method calls rather than np.sum / np.all: same reductions, less
+            # call overhead on the flow's hot path.
+            g = q.sum(-1, keepdims=True) - 1.0
+            if (np.abs(g) <= _PROJ_TOL).all():
                 return t
             lo = np.where(g > 0.0, t, lo)
             hi = np.where(g < 0.0, t, hi)
-            newton = t + g / (2.0 * np.sum(q / s, axis=-1, keepdims=True))
+            newton = t + g / (2.0 * (q / s).sum(-1, keepdims=True))
             t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         raise RuntimeError(
             f"ellipsoid projection did not converge: residual {float(np.max(np.abs(g))):.3e}"
@@ -152,13 +177,15 @@ class TargetManifold:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if not self.in_tube(x):
+        inside, t = self._tube_multiplier(x)
+        if not inside:
             raise ValueError("base point outside the tube neighborhood")
-        return self._differential(x, v)
+        return self._differential(x, v, t)
 
-    def _differential(self, x, v):
+    def _differential(self, x, v, t=None):
         """differential_of_projection without the tube check, for callers
-        that have just projected x."""
+        that have just projected x; t is the ellipsoid multiplier of x when
+        the caller already has it."""
         if self.kind == "sphere":
             r = np.sqrt((x * x).sum(-1, keepdims=True))
             xn = x / r
@@ -166,7 +193,7 @@ class TargetManifold:
         # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
         # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
         a2 = self.semi_axes**2
-        s = a2 + self._multiplier(x)
+        s = a2 + (self._multiplier(x) if t is None else t)
         w = a2 * x / (s * s)
         dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / s, axis=-1, keepdims=True)
         return a2 * v / s - dt * w

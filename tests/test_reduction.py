@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from loopflow import reduction
 from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import (
@@ -147,6 +150,40 @@ def test_invert_N_is_right_inverse(energy_ws):
     assert res[-1] < 1e-2 * res[0]
 
 
+def test_invert_N_reuses_the_workspace_matrix_at_small_f(energy_ws, monkeypatch):
+    # near 0 the workspace's own P_K + L(0) is a good chord matrix, so
+    # no Jacobian is assembled
+    calls = []
+    assemble = reduction.frame_linearization
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "frame_linearization", counted)
+    f = kernel_combination(energy_ws, np.array([0.02, -0.01, 0.015]))
+    u, info = invert_N(energy_ws, f, return_info=True)
+    assert calls == []
+    assert info["jacobian_assemblies"] == 0
+    assert info["halvings"] == 0
+    assert info["iterations"] == len(info["residuals"]) - 1
+    assert info["residuals"][-1] <= energy_ws.newton_tol
+
+
+def test_invert_N_refreshes_a_poor_chord_matrix(energy_ws):
+    # half the linearization is a chord matrix whose steps no longer halve
+    # the residual, so Newton assembles the Jacobian and still converges
+    ws = dataclasses.replace(energy_ws, frame_matrix=0.5 * energy_ws.frame_matrix)
+    f = kernel_combination(ws, np.array([0.02, -0.01, 0.015]))
+    u, info = invert_N(ws, f, return_info=True)
+    assert info["jacobian_assemblies"] >= 1
+    # the assembled Jacobian replaces the poor chord matrix for later steps
+    assert info["jacobian_assemblies"] < info["iterations"]
+    assert info["residuals"][-1] <= ws.newton_tol
+    back = apply_N(energy_ws, u)
+    assert l2_norm(section(ws.bundle, back.values - f.values)) < 1e-9
+
+
 def test_invert_N_basin_guard(energy_ws):
     ws = energy_ws
     th = ws.bundle.mesh.node_angles
@@ -173,6 +210,30 @@ def test_reduced_function_vanishes_for_integrable_case(energy_ws):
         assert abs(reduced_function(ws, xi)) < 1e-9
     g = reduced_gradient(ws, np.array([0.01, 0.005, -0.01]))
     assert np.linalg.norm(g) < 1e-7
+
+
+def central_difference_gradient(ws, xi, step=1e-5):
+    """Oracle: central differences of reduced_function, 2l Newton solves."""
+    grad = np.empty_like(xi)
+    for j in range(xi.size):
+        e = np.zeros_like(xi)
+        e[j] = step
+        grad[j] = (reduced_function(ws, xi + e) - reduced_function(ws, xi - e)) / (2.0 * step)
+    return grad
+
+
+@pytest.mark.parametrize("name", ["quartic_ws", "energy_ws"])
+def test_reduced_gradient_matches_central_differences(name, request):
+    ws = request.getfixturevalue(name)
+    for xi in ([0.02, 0.01, -0.005], [0.01, 0.005, -0.01], [0.03, -0.02, 0.01]):
+        xi = np.array(xi)
+        exact = reduced_gradient(ws, xi)
+        oracle = central_difference_gradient(ws, xi)
+        # relative to |grad|, floored at 1e-5, the quartic gradient's size at
+        # these radii: the integrable workspace's gradient vanishes, and there
+        # both sides are rounding noise
+        scale = max(np.linalg.norm(oracle), 1e-5)
+        assert np.linalg.norm(exact - oracle) <= 1e-5 * scale
 
 
 def test_reduced_function_quartic_well(quartic_ws):

@@ -166,7 +166,7 @@ def test_vectorized_projection_matches_scalar_reference(axes):
     rng = np.random.default_rng(31)
     y = rng.standard_normal((40, p))
     y = y / np.linalg.norm(y / e.semi_axes, axis=1, keepdims=True)
-    x = y + rng.uniform(-0.5, 0.5, (40, 1)) * e.tube_radius * e.unit_normal(y)
+    x = y + rng.uniform(-0.9, 0.9, (40, 1)) * e.tube_radius * e.unit_normal(y)
     proj = e.project_nearest(x)
     ref = np.stack([scalar_projection(e, row) for row in x])
     # both solve the multiplier to rounding; 1e-12 leaves room for its conditioning
@@ -255,3 +255,25 @@ def test_in_tube_sphere_and_ellipsoid():
     e = TargetManifold.ellipsoid((2.0, 1.0, 1.0))
     assert e.in_tube(np.array([2.1, 0.0, 0.0]))
     assert not e.in_tube(np.array([0.0, 0.0, 0.0]))
+
+
+def test_ellipsoid_tube_check_is_the_exact_distance():
+    # off along the normal, the distance to the target is the offset itself
+    e = TargetManifold.ellipsoid((1.5, 1.0, 0.8))
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((40, 3))
+    y = y / np.linalg.norm(y / e.semi_axes, axis=1, keepdims=True)
+    normal = e.unit_normal(y)
+    for sign in (1.0, -1.0):
+        inside = y + sign * 0.9 * e.tube_radius * normal
+        assert e.in_tube(inside)
+        np.testing.assert_allclose(e.project_nearest(inside), y, atol=1e-12)
+        for row in y + sign * 1.1 * e.tube_radius * normal:
+            assert not e.in_tube(row)
+            with pytest.raises(ValueError, match="tube"):
+                e.project_nearest(row)
+    # the centre, points on its axes far inside, and NaN fail by name
+    for x in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.3], [np.nan, 1.0, 0.0]):
+        assert not e.in_tube(np.array(x))
+        with pytest.raises(ValueError, match="tube"):
+            e.project_nearest(np.array(x))
