@@ -191,6 +191,17 @@ def _ols(x, y):
     return float(coef[0]), float(coef[1]), r2, ss_res
 
 
+def _common_slope(x, y, groups):
+    """Least-squares slope that every group shares, each group with its
+    own intercept: one lstsq on x and one indicator column per group."""
+    _, index = np.unique(groups, return_inverse=True)
+    A = np.column_stack([x, index[:, None] == np.arange(index.max() + 1)])
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < A.shape[1]:
+        raise ValueError("common slope is undetermined: no group spans two distinct x")
+    return float(coef[0])
+
+
 def fit_convergence_rate(trace, floor=1e-13):
     """Fit exponential and power-law models to the tail of the energy gap.
 

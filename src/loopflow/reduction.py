@@ -24,9 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from .bundles import _check_same_bundle, l2_norm, project_section, section, sobolev_norms
-from .flow import _ols
+from .flow import _common_slope, _ols
 from .variational import (
-    _detect_stencil_radius,
     fiber_frames,
     frame_linearization,
     functional_value,
@@ -76,7 +75,6 @@ class ReductionWorkspace:
     threshold: float
     discarded_min: float
     gap_ratio: float
-    stencil_radius: object        # int for banded assembly, None for dense
 
     @property
     def kernel_dim(self):
@@ -145,15 +143,9 @@ def build_reduction_workspace(
     newton_tol=1e-10,
     newton_max_iter=50,
     xi_radius=0.05,
-    fd_step=1e-6,
 ):
     frames = fiber_frames(bundle)
-    stencil = _detect_stencil_radius(
-        bundle, functional, np.zeros_like(bundle.base_map), frames, fd_step
-    )
-    L_frame, _ = frame_linearization(
-        bundle, functional, at_values=None, step=fd_step, frames=frames, stencil_radius=stencil
-    )
+    L_frame, _ = frame_linearization(bundle, functional, frames=frames)
     vecs, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
         L_frame, bundle.mesh.spacing, kernel_tol
     )
@@ -179,7 +171,6 @@ def build_reduction_workspace(
         threshold=threshold,
         discarded_min=discarded_min,
         gap_ratio=gap_ratio,
-        stencil_radius=stencil,
     )
 
 
@@ -279,11 +270,7 @@ def invert_N(workspace, f, return_info=False):
         # Written so that a NaN residual also refreshes the Jacobian.
         if not (rnorm_new <= _CHORD_RATIO * rnorm or rnorm_new <= workspace.newton_tol):
             L_u, _ = frame_linearization(
-                bundle,
-                workspace.functional,
-                at_values=_from_coords(frames, u),
-                frames=frames,
-                stencil_radius=workspace.stencil_radius,
+                bundle, workspace.functional, at_values=_from_coords(frames, u), frames=frames
             )
             assemblies += 1
             chord = pk_mat + L_u
@@ -346,13 +333,7 @@ def _gradient_at(workspace, u, mf):
     <(P_K + L(u))^{-1} M_F(u), phi_j>: one assembly and one solve.
     """
     bundle, frames = workspace.bundle, workspace.frames
-    L_u, _ = frame_linearization(
-        bundle,
-        workspace.functional,
-        at_values=u.values,
-        frames=frames,
-        stencil_radius=workspace.stencil_radius,
-    )
+    L_u, _ = frame_linearization(bundle, workspace.functional, at_values=u.values, frames=frames)
     x = np.linalg.solve(_kernel_coord_matrix(workspace) + L_u, _to_coords(frames, mf.values))
     return kernel_coordinates(workspace, section(bundle, _from_coords(frames, x)))
 
@@ -448,11 +429,17 @@ def lipschitz_probe(workspace, n_pairs=50, amplitude=0.01, seed=0):
 def approximation_sweep(
     workspace, amplitudes=(0.04, 0.02, 0.01), n_directions=5, seed=0, floor=1e-14
 ):
-    """Log-log slope of |F(u) - F(Psi(P_K u))| against ||M_F(u)||."""
+    """Log-log slope of |F(u) - F(Psi(P_K u))| against ||M_F(u)||.
+
+    Each sampled direction has its own constant, so `slope` is the one
+    slope common to all directions, fitted with a separate intercept per
+    direction; `direction_slopes` holds each direction's own slope (None
+    where fewer than two of its samples clear the floor).
+    """
     rng = np.random.default_rng(seed)
     bundle = workspace.bundle
-    lhs_all, m_all = [], []
-    for _ in range(n_directions):
+    lhs_all, m_all, direction = [], [], []
+    for k in range(n_directions):
         v = _random_smooth_section(bundle, rng)
         for amp in amplitudes:
             u = section(bundle, amp * v.values)
@@ -461,16 +448,23 @@ def approximation_sweep(
             if lhs > floor and m_norm > floor:
                 lhs_all.append(lhs)
                 m_all.append(m_norm)
+                direction.append(k)
     lhs_all = np.array(lhs_all)
     m_all = np.array(m_all)
+    direction = np.array(direction)
     if lhs_all.size < 3:
         raise ValueError("approximation sweep produced too few usable samples")
-    slope = _ols(np.log(m_all), np.log(lhs_all))[0]
+    x, y = np.log(m_all), np.log(lhs_all)
+    direction_slopes = [
+        _ols(x[direction == k], y[direction == k])[0] if np.sum(direction == k) >= 2 else None
+        for k in range(n_directions)
+    ]
     constant = float(np.max(lhs_all / m_all**2))
     return {
         "amplitudes": [float(a) for a in amplitudes],
         "n_samples": int(lhs_all.size),
-        "slope": slope,
+        "slope": _common_slope(x, y, direction),
+        "direction_slopes": direction_slopes,
         "constant": constant,
         "lhs": lhs_all.tolist(),
         "m_norm": m_all.tolist(),

@@ -123,6 +123,11 @@ class TargetManifold:
 
     def project_nearest(self, x):
         """Nearest point on the target; accepts a point or an (n, p) stack."""
+        return self._nearest(x)[0]
+
+    def _nearest(self, x):
+        """(y, t): project_nearest's point y and the ellipsoid multiplier t
+        of x (None on a sphere), for callers that go on to _differential."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.ambient_dim:
             raise ValueError(
@@ -132,9 +137,9 @@ class TargetManifold:
         if not inside:
             raise ValueError("point outside the tube neighborhood of the target")
         if self.kind == "sphere":
-            return x / np.sqrt((x * x).sum(-1, keepdims=True))
+            return x / np.sqrt((x * x).sum(-1, keepdims=True)), None
         a2 = self.semi_axes**2
-        return a2 * x / (a2 + t)
+        return a2 * x / (a2 + t), t
 
     def _multiplier(self, x):
         """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).

@@ -7,15 +7,19 @@ Delta u minus the curvature contraction; its fiberwise tangential part
 is the constrained gradient of the discrete energy up to O(h^2).
 
 Functionals over a pullback bundle are described by an integrand
-F(theta, z, eta) with partials in the z and eta slots. The generic
-Euler-Lagrange assembly differentiates a staggered (midpoint-flux)
+F(theta, z, eta) and one of two ways to evaluate and differentiate it.
+A generic functional carries partials in the z and eta slots, checked
+against the differenced integrand when make_functional_spec builds it;
+its Euler-Lagrange assembly differentiates a staggered (midpoint-flux)
 quadrature of the integrand, which makes the discrete duality
 <M_F(u), v> = d/ds F(u + s v) exact up to rounding. The energy
-functional of a chart additionally carries exact value and gradient
-routines: the value composes the chart with the energy itself, and the
-gradient differentiates a compact-stencil energy through the chart, so
-loops that are exact critical points of the discrete energy stay exact
-critical points of the reduced machinery.
+functional of a chart, with or without a quartic penalty, carries exact
+value and gradient routines instead: the value composes the chart with
+the energy itself, and the gradient differentiates a compact-stencil
+energy through the chart, so loops that are exact critical points of the
+discrete energy stay exact critical points of the reduced machinery.
+Either way the field at node j reads only nodes j-1, j and j+1, which is
+what lets frame_linearization probe the Jacobian as a band of radius 1.
 """
 
 from dataclasses import dataclass
@@ -142,53 +146,51 @@ def first_variation_check(state, direction, step=1e-5):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Integrand triple plus optional exact value/gradient routines.
+    """An integrand with either checked partials or exact routines.
 
-    integrand, partial_z, partial_eta have signature (theta, z, eta) with
-    z and eta ambient vectors. When value_fn or euler_lagrange_fn are
-    set they take precedence over the generic quadrature/assembly; the
-    energy-of-a-chart functional uses both so that its critical set is
-    exactly the critical set of the discrete energy.
+    integrand, partial_z and partial_eta have signature (theta, z, eta)
+    with z and eta ambient vectors; the integrand is always present,
+    because ellipticity_check reads it. A spec holds exactly one pair:
+    partial_z and partial_eta, which make_functional_spec checks and the
+    generic staggered quadrature and assembly use; or value_fn and
+    euler_lagrange_fn, which energy_functional_on_bundle and
+    with_quartic_penalty build so that the critical set is exactly the
+    critical set of the discrete energy.
     """
 
     label: str
     integrand: Callable
-    partial_z: Callable
-    partial_eta: Callable
     validity_radius: float
+    partial_z: Optional[Callable] = None
+    partial_eta: Optional[Callable] = None
     value_fn: Optional[Callable] = None
     euler_lagrange_fn: Optional[Callable] = None
 
+    def __post_init__(self):
+        partials = (self.partial_z is not None, self.partial_eta is not None)
+        exact = (self.value_fn is not None, self.euler_lagrange_fn is not None)
+        if not (all(partials) and not any(exact) or all(exact) and not any(partials)):
+            raise ValueError(
+                f"functional '{self.label}' needs either both partials or both "
+                "exact routines (value_fn, euler_lagrange_fn), not a mix"
+            )
 
-def make_functional_spec(
-    label,
-    integrand,
-    partial_z,
-    partial_eta,
-    validity_radius=0.3,
-    value_fn=None,
-    euler_lagrange_fn=None,
-    probe_dim=3,
-    probe_thetas=None,
-    validate=True,
-):
+
+def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3, probe_dim=3):
+    """FunctionalSpec for a generic integrand, after checking its partials
+    against central differences of the integrand at 100 seeded probes."""
     if validity_radius <= 0.0:
         raise ValueError("validity_radius must be positive")
     spec = FunctionalSpec(
-        label, integrand, partial_z, partial_eta, float(validity_radius), value_fn, euler_lagrange_fn
+        label, integrand, float(validity_radius), partial_z=partial_z, partial_eta=partial_eta
     )
-    if validate:
-        _validate_partials(spec, probe_dim, probe_thetas)
+    _validate_partials(spec, probe_dim)
     return spec
 
 
-def _validate_partials(spec, dim, thetas, n_probes=100, tol=1e-6):
+def _validate_partials(spec, dim, n_probes=100, tol=1e-6):
     rng = np.random.default_rng(1711)
-    if thetas is None:
-        thetas = rng.uniform(0.0, 2.0 * np.pi, size=n_probes)
-    else:
-        thetas = np.asarray(thetas, dtype=float)
-        thetas = thetas[rng.integers(0, thetas.size, size=n_probes)]
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=n_probes)
     fd = 1e-6
     for k in range(n_probes):
         th = float(thetas[k])
@@ -277,7 +279,7 @@ def general_euler_lagrange(bundle, functional, sec):
 # -- the energy functional of a chart --------------------------------------
 
 
-def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
+def energy_functional_on_bundle(bundle, harmonic_tol=0.05):
     """FunctionalSpec for v -> E(Pi(phi0 + v)) - E(phi0).
 
     The value routine composes the chart with the energy, so it inherits
@@ -305,10 +307,10 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
 
     def el_fn(bnd, values):
         x = bnd.base_map + values
-        lap = laplace_beltrami(compact, bnd.target.project_nearest(x))
-        # dPi is symmetric, so it is its own transpose; project_nearest has
-        # just checked that x lies in the tube.
-        return bnd.target._differential(x, -2.0 * lap)
+        points, t = bnd.target._nearest(x)
+        # dPi is symmetric, so it is its own transpose; _nearest has just
+        # checked that x lies in the tube and solved its multiplier.
+        return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), t)
 
     gbase = differentiate(mesh, base)
     kmats = differentiate(mesh, bundle.projectors)
@@ -329,43 +331,19 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05, validate=True):
         img = target.differential_of_projection(x, arg)
         return float(np.sum(img * img) - ref[i])
 
-    def partial_z(theta, z, eta):
-        return _fd_partial(integrand, theta, z, eta, slot=0)
-
-    def partial_eta(theta, z, eta):
-        return _fd_partial(integrand, theta, z, eta, slot=1)
-
-    return make_functional_spec(
+    return FunctionalSpec(
         label="chart energy",
         integrand=integrand,
-        partial_z=partial_z,
-        partial_eta=partial_eta,
         validity_radius=0.9 * target.tube_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
-        probe_dim=target.ambient_dim,
-        probe_thetas=mesh.node_angles,
-        validate=validate,
     )
 
 
-def _fd_partial(integrand, theta, z, eta, slot, step=1e-7):
-    z = np.asarray(z, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p = z.size
-    out = np.empty(p)
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = step
-        if slot == 0:
-            out[j] = (integrand(theta, z + e, eta) - integrand(theta, z - e, eta)) / (2 * step)
-        else:
-            out[j] = (integrand(theta, z, eta + e) - integrand(theta, z, eta - e)) / (2 * step)
-    return out
-
-
 def with_quartic_penalty(bundle, functional, weight):
-    """Add a pointwise quartic |z|^4 term: value, gradient and integrand.
+    """Add a pointwise quartic |z|^4 term to a functional with exact
+    routines: value, gradient and integrand. The gradient term is node by
+    node, so the field keeps its stencil radius of 1.
 
     The penalty's Hessian vanishes at the zero section, so the kernel of
     the linearization is untouched while the reduced function picks up a
@@ -376,7 +354,7 @@ def with_quartic_penalty(bundle, functional, weight):
     w = float(weight)
     base_value = functional.value_fn
     base_el = functional.euler_lagrange_fn
-    if base_value is None or base_el is None:
+    if base_el is None:
         raise ValueError("quartic penalty expects a functional with exact routines")
 
     def value_fn(bnd, values):
@@ -391,15 +369,9 @@ def with_quartic_penalty(bundle, functional, weight):
         zz = float(np.sum(np.asarray(z) ** 2))
         return functional.integrand(theta, z, eta) + w * zz * zz
 
-    def partial_z(theta, z, eta):
-        z = np.asarray(z, dtype=float)
-        return np.asarray(functional.partial_z(theta, z, eta)) + 4.0 * w * float(np.sum(z * z)) * z
-
     return FunctionalSpec(
         label=functional.label + " + quartic",
         integrand=integrand,
-        partial_z=partial_z,
-        partial_eta=functional.partial_eta,
         validity_radius=functional.validity_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
@@ -433,39 +405,6 @@ def fiber_frames(bundle):
     return frames
 
 
-def _fd_response(bundle, functional, at_values, direction, step):
-    vp = project_section(bundle, at_values + step * direction)
-    vm = project_section(bundle, at_values - step * direction)
-    return (
-        general_euler_lagrange(bundle, functional, vp).values
-        - general_euler_lagrange(bundle, functional, vm).values
-    ) / (2.0 * step)
-
-
-def _detect_stencil_radius(bundle, functional, at_values, frames, step):
-    """Support radius of the assembled operator, or None if not banded.
-
-    Probes two well-separated nodes and measures how far their responses
-    reach. Compact stencils answer exactly zero outside their band, so a
-    nonzero anywhere past the measured radius disables the banded path.
-    """
-    n = bundle.base_map.shape[0]
-    q = frames.shape[2]
-    radius = 0
-    for node in (0, n // 2):
-        for a in range(q):
-            d = np.zeros_like(at_values)
-            d[node] = frames[node, :, a]
-            col = _fd_response(bundle, functional, at_values, d, step)
-            hit = np.nonzero(np.any(col != 0.0, axis=1))[0]
-            for j in hit:
-                off = min((j - node) % n, (node - j) % n)
-                radius = max(radius, int(off))
-    if 2 * (2 * radius + 1) > n:
-        return None
-    return radius
-
-
 def _arc_colouring(n, separation):
     """Colour classes of the nodes 0..n-1, members of a class pairwise at
     least `separation` apart around the circle.
@@ -481,20 +420,20 @@ def _arc_colouring(n, separation):
     return [starts[lengths > c] + c for c in range(int(lengths.max()))]
 
 
-def frame_linearization(
-    bundle, functional, at_values=None, step=1e-6, frames=None, stencil_radius="auto"
-):
+def frame_linearization(bundle, functional, at_values=None, frames=None):
     """Symmetrized matrix of the Euler-Lagrange linearization in fiber frames.
 
-    Columns are centered differences of the assembled field along the
-    frame directions; the matrix acts on frame coordinates (node-major,
-    p-1 per node) and is returned with its raw asymmetry. When the
-    operator is banded with stencil radius r (every functional built here
-    has r = 1), nodes 2r+1 or more apart answer in disjoint row windows,
-    so the nodes are coloured by their offset inside 2r+1-long arcs of the
-    circle and one difference probe per colour and frame direction fills
-    all of that colour's columns (Curtis, Powell and Reid). Pass
-    stencil_radius=None to force the dense column-by-column path.
+    Columns are centered differences (step 1e-6) of the assembled field
+    along the frame directions; the matrix acts on frame coordinates
+    (node-major, p-1 per node) and is returned with its raw asymmetry.
+    Every field assembled here has stencil radius 1: the staggered
+    assembly reads nodes j-1, j and j+1 by construction, the chart
+    energy's gradient uses the compact three-point Laplacian at either
+    mesh order, and the quartic term is node by node. So nodes three or
+    more apart answer in disjoint row windows, the nodes are coloured by
+    their offset inside 3-long arcs of the circle, and one difference
+    probe per colour and frame direction fills all of that colour's
+    columns (Curtis, Powell and Reid).
     """
     n, p = bundle.base_map.shape
     q = p - 1
@@ -504,26 +443,22 @@ def frame_linearization(
         frames = fiber_frames(bundle)
     m = n * q
     L = np.zeros((m, m))
-    if stencil_radius == "auto":
-        stencil_radius = _detect_stencil_radius(bundle, functional, at_values, frames, step)
-    if stencil_radius is None:
-        for i in range(n):
-            for a in range(q):
-                d = np.zeros((n, p))
-                d[i] = frames[i, :, a]
-                col = _fd_response(bundle, functional, at_values, d, step)
-                L[:, i * q + a] = np.einsum("njb,nj->nb", frames, col).reshape(m)
-    else:
-        window = np.arange(-stencil_radius, stencil_radius + 1)
-        for group in _arc_colouring(n, 2 * stencil_radius + 1):
-            rows = (group[:, None] + window) % n
-            row_index = rows[:, :, None] * q + np.arange(q)
-            for a in range(q):
-                d = np.zeros((n, p))
-                d[group] = frames[group, :, a]
-                col = _fd_response(bundle, functional, at_values, d, step)
-                block = np.einsum("gwjb,gwj->gwb", frames[rows], col[rows])
-                L[row_index, (group * q + a)[:, None, None]] = block
+    step = 1e-6
+    window = np.arange(-1, 2)
+    for group in _arc_colouring(n, 3):
+        rows = (group[:, None] + window) % n
+        row_index = rows[:, :, None] * q + np.arange(q)
+        for a in range(q):
+            d = np.zeros((n, p))
+            d[group] = frames[group, :, a]
+            vp = project_section(bundle, at_values + step * d)
+            vm = project_section(bundle, at_values - step * d)
+            col = (
+                general_euler_lagrange(bundle, functional, vp).values
+                - general_euler_lagrange(bundle, functional, vm).values
+            ) / (2.0 * step)
+            block = np.einsum("gwjb,gwj->gwb", frames[rows], col[rows])
+            L[row_index, (group * q + a)[:, None, None]] = block
     asym = float(np.max(np.abs(L - L.T)))
     return 0.5 * (L + L.T), asym
 

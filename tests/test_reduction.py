@@ -5,11 +5,13 @@ import pytest
 
 from loopflow import reduction
 from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
+from loopflow.flow import _common_slope
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import (
     _spectral_split,
     apply_N,
     approximation_check,
+    approximation_sweep,
     build_reduction_workspace,
     invert_N,
     kernel_combination,
@@ -50,7 +52,6 @@ def quartic_ws():
 def test_workspace_kernel_layout(energy_ws):
     ws = energy_ws
     assert ws.kernel_dim == 3
-    assert ws.stencil_radius == 1
     assert ws.gap_ratio > 10.0
     assert np.all(np.abs(ws.kernel_eigenvalues) < ws.threshold)
     assert ws.discarded_min > 10.0 * np.max(np.abs(ws.kernel_eigenvalues))
@@ -297,3 +298,53 @@ def test_ellipsoid_of_revolution_kernel_is_the_rotation_field():
     report = sandwich_sweep(ws, radii=(0.005, 0.02), samples_per_radius=3)
     assert report["n_newton_failure"] == 0
     assert abs(reduced_function(ws, np.array([0.02]))) < 1e-9
+
+
+def test_common_slope_fits_one_slope_with_an_intercept_per_group():
+    x = np.array([0.0, 1.0, 2.0, 5.0, 6.0, 9.0])
+    groups = np.array([4, 4, 4, 1, 1, 7])
+    y = 2.0 * x + np.array([0.0, 0.0, 0.0, -30.0, -30.0, 3.0])
+    assert abs(_common_slope(x, y, groups) - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="undetermined"):
+        _common_slope(x[[0, 3, 5]], y[[0, 3, 5]], groups[[0, 3, 5]])
+
+
+@pytest.mark.parametrize("seed", [3, 22])
+def test_approximation_slope_is_quadratic(seed):
+    # Each direction has its own constant, so one line fitted through all
+    # of them mixes the constants into the slope: 1.826 at seed 3 and
+    # 1.847 at seed 22, for a remainder that is quadratic.
+    b = equator_bundle(32)
+    ws = build_reduction_workspace(b, energy_functional_on_bundle(b))
+    report = approximation_sweep(ws, seed=seed)
+    assert 1.99 <= report["slope"] <= 2.01
+    assert len(report["direction_slopes"]) == 5
+    assert all(abs(s - 2.0) < 0.01 for s in report["direction_slopes"])
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_great_circle_kernel_in_higher_spheres_is_spanned_by_rotations(p):
+    # The degree-1 great circle in S^{p-1} is moved by 2p - 3 rotations
+    # E_ab of so(p): the one in its own plane and, for each of the p - 2
+    # other axes, the two that tilt the plane towards it. The stabiliser
+    # SO(p - 2) fixes it, so these fields span the kernel.
+    n = 32
+    mesh = build_circle_mesh(n)
+    th = mesh.node_angles
+    base = np.zeros((n, p))
+    base[:, 0], base[:, 1] = np.cos(th), np.sin(th)
+    b = build_pullback_bundle(mesh, TargetManifold.sphere(p), base)
+    ws = build_reduction_workspace(b, energy_functional_on_bundle(b))
+    assert ws.kernel_dim == 2 * p - 3
+    assert ws.gap_ratio >= 10.0
+    fields = []
+    for a in range(p):
+        for c in range(a + 1, p):
+            E = np.zeros((p, p))
+            E[a, c], E[c, a] = -1.0, 1.0
+            field = base @ E.T
+            if np.any(field != 0.0):
+                fields.append(section(b, field))
+    assert len(fields) == 2 * p - 3
+    for field in fields:
+        assert l2_norm(project_onto_kernel(ws, field)) >= (1.0 - 1e-8) * l2_norm(field)

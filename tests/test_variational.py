@@ -12,9 +12,9 @@ from loopflow.bundles import (
 from loopflow.mesh import build_circle_mesh, differentiate, integrate
 from loopflow.targets import TargetManifold
 from loopflow.variational import (
+    FunctionalSpec,
     MapState,
     _arc_colouring,
-    _detect_stencil_radius,
     ellipticity_check,
     energy,
     energy_functional_on_bundle,
@@ -198,6 +198,17 @@ def quadratic_eta_functional():
     )
 
 
+def mixed_cubic_functional():
+    """F = |eta|^2 + |z|^2 <z, eta> with exact partials, on R^3 fibers."""
+    return make_functional_spec(
+        label="mixed",
+        integrand=lambda th, z, eta: float(np.dot(eta, eta) + np.dot(z, z) * np.dot(z, eta)),
+        partial_z=lambda th, z, eta: 2.0 * np.dot(z, eta) * np.asarray(z) + np.dot(z, z) * np.asarray(eta),
+        partial_eta=lambda th, z, eta: 2.0 * np.asarray(eta) + np.dot(z, z) * np.asarray(z),
+        validity_radius=10.0,
+    )
+
+
 def test_make_functional_spec_validates_partials():
     with pytest.raises(ValueError, match="partial"):
         make_functional_spec(
@@ -255,13 +266,7 @@ def test_quadratic_functional_vertical_spectrum():
 def test_general_assembly_is_exact_gradient_of_staggered_value():
     # duality: <M_F(u), v> = d/ds F(u + s v), exact for the generic path
     b = equator_bundle(40)
-    func = make_functional_spec(
-        label="mixed",
-        integrand=lambda th, z, eta: float(np.dot(eta, eta) + np.dot(z, z) * np.dot(z, eta)),
-        partial_z=lambda th, z, eta: 2.0 * np.dot(z, eta) * np.asarray(z) + np.dot(z, z) * np.asarray(eta),
-        partial_eta=lambda th, z, eta: 2.0 * np.asarray(eta) + np.dot(z, z) * np.asarray(z),
-        validity_radius=10.0,
-    )
+    func = mixed_cubic_functional()
     rng = np.random.default_rng(9)
     u = project_section(b, 0.3 * rng.standard_normal((40, 3)))
     v = project_section(b, rng.standard_normal((40, 3)))
@@ -276,19 +281,36 @@ def test_general_assembly_is_exact_gradient_of_staggered_value():
 
 def test_nonlinearity_witness_for_cubic_term():
     b = equator_bundle(32)
-    func = make_functional_spec(
-        label="cubic",
-        integrand=lambda th, z, eta: float(np.dot(eta, eta) + np.dot(z, z) * np.dot(z, eta)),
-        partial_z=lambda th, z, eta: 2.0 * np.dot(z, eta) * np.asarray(z) + np.dot(z, z) * np.asarray(eta),
-        partial_eta=lambda th, z, eta: 2.0 * np.asarray(eta) + np.dot(z, z) * np.asarray(z),
-        validity_radius=10.0,
-    )
+    func = mixed_cubic_functional()
     rng = np.random.default_rng(14)
     u = project_section(b, 0.2 * rng.standard_normal((32, 3)))
     double = section(b, 2.0 * u.values)
     M1 = general_euler_lagrange(b, func, u)
     M2 = general_euler_lagrange(b, func, double)
     assert np.max(np.abs(M2.values - 2.0 * M1.values)) > 1e-3
+
+
+def test_functional_spec_needs_partials_or_exact_routines():
+    integrand = lambda th, z, eta: float(np.dot(eta, eta))
+    partial = lambda th, z, eta: np.zeros(3)
+    routine = lambda bnd, values: 0.0
+    for kinds in (
+        {},
+        {"partial_z": partial},
+        {"value_fn": routine},
+        {"partial_z": partial, "partial_eta": partial, "euler_lagrange_fn": routine},
+        {"partial_z": partial, "partial_eta": partial, "value_fn": routine, "euler_lagrange_fn": routine},
+    ):
+        with pytest.raises(ValueError, match="both partials or both exact routines"):
+            FunctionalSpec("broken", integrand, 1.0, **kinds)
+    # each builder gives exactly one kind
+    generic = quadratic_eta_functional()
+    assert generic.value_fn is None and generic.euler_lagrange_fn is None
+    b = equator_bundle(32)
+    chart = energy_functional_on_bundle(b)
+    for exact in (chart, with_quartic_penalty(b, chart, 1.0)):
+        assert exact.partial_z is None and exact.partial_eta is None
+        assert exact.value_fn is not None and exact.euler_lagrange_fn is not None
 
 
 def test_functional_value_zero_at_zero_section():
@@ -381,6 +403,23 @@ def test_chart_energy_rejects_far_from_harmonic_base():
         energy_functional_on_bundle(b)
 
 
+def test_ellipsoid_euler_lagrange_solves_the_multiplier_once(monkeypatch):
+    t = TargetManifold.ellipsoid((1.0, 1.0, 1.3))
+    st = great_circle(32, target=t)
+    b = build_pullback_bundle(st.mesh, t, st.values)
+    func = energy_functional_on_bundle(b)
+    calls = []
+    solve = TargetManifold._multiplier
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return solve(self, x)
+
+    monkeypatch.setattr(TargetManifold, "_multiplier", counted)
+    general_euler_lagrange(b, func, zero_section(b))
+    assert len(calls) == 1
+
+
 def test_cross_check_against_tension_norms():
     # ||M_F(u)|| tracks 2 ||M_E(decode(u))|| within the (1 +- 10 delta) band
     b = equator_bundle(64)
@@ -463,15 +502,32 @@ def test_arc_colouring_is_a_minimal_separated_partition():
                 assert gaps.min() >= sep, (n, r, g)
 
 
-def assert_banded_equals_dense(b):
-    func = energy_functional_on_bundle(b)
+def dense_frame_linearization(b, func, at_values, frames, step=1e-6):
+    """Column-by-column central differences of the assembled field, with
+    every row kept: the oracle for the banded probing, which reads only
+    the rows within one node of each probed node."""
+    n, p = b.base_map.shape
+    q = p - 1
+    L = np.zeros((n * q, n * q))
+    for i in range(n):
+        for a in range(q):
+            d = np.zeros((n, p))
+            d[i] = frames[i, :, a]
+            plus = general_euler_lagrange(b, func, project_section(b, at_values + step * d))
+            minus = general_euler_lagrange(b, func, project_section(b, at_values - step * d))
+            col = (plus.values - minus.values) / (2.0 * step)
+            L[:, i * q + a] = np.einsum("njb,nj->nb", frames, col).reshape(n * q)
+    return 0.5 * (L + L.T), float(np.max(np.abs(L - L.T)))
+
+
+def assert_banded_equals_dense(b, func=None, at_values=None):
+    func = energy_functional_on_bundle(b) if func is None else func
+    at_values = np.zeros_like(b.base_map) if at_values is None else at_values
     frames = fiber_frames(b)
-    zero = np.zeros_like(b.base_map)
-    assert _detect_stencil_radius(b, func, zero, frames, 1e-6) == 1
-    L_auto, asym_auto = frame_linearization(b, func, frames=frames)
-    L_dense, asym_dense = frame_linearization(b, func, frames=frames, stencil_radius=None)
-    np.testing.assert_allclose(L_auto, L_dense, atol=1e-8)
-    assert asym_auto < 1e-4
+    L_band, asym_band = frame_linearization(b, func, at_values=at_values, frames=frames)
+    L_dense, asym_dense = dense_frame_linearization(b, func, at_values, frames)
+    np.testing.assert_allclose(L_band, L_dense, atol=1e-8)
+    assert asym_band < 1e-4
     assert asym_dense < 1e-4
 
 
@@ -492,6 +548,25 @@ def test_frame_linearization_banded_equals_dense_across_the_wrap(n, order, axes)
     th = mesh.node_angles
     base = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1) * t.semi_axes
     assert_banded_equals_dense(build_pullback_bundle(mesh, t, base))
+
+
+@pytest.mark.parametrize("kind", ["mixed_cubic", "quartic_order4"])
+def test_frame_linearization_equals_dense_away_from_the_zero_section(kind):
+    # Radius 1 holds for the staggered assembly of a generic integrand and
+    # for the node-by-node quartic term on a fourth-order mesh; a nonzero
+    # section makes the cubic and quartic terms enter the Jacobian.
+    n = 25
+    mesh = build_circle_mesh(n, 4 if kind == "quartic_order4" else 2)
+    t = TargetManifold.sphere(3)
+    th = mesh.node_angles
+    b = build_pullback_bundle(mesh, t, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1))
+    rng = np.random.default_rng(12)
+    if kind == "mixed_cubic":
+        func, amplitude = mixed_cubic_functional(), 0.2
+    else:
+        func, amplitude = with_quartic_penalty(b, energy_functional_on_bundle(b), 5.0), 0.05
+    at_values = project_section(b, amplitude * rng.standard_normal((n, 3))).values
+    assert_banded_equals_dense(b, func, at_values)
 
 
 def test_linearization_kernel_contains_jacobi_fields():
