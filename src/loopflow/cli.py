@@ -236,20 +236,24 @@ def _run_flow(config, outdir, seed):
     )
 
 
-def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
-    """Energy gap against Euler-Lagrange norm for kernel-orthogonal sections."""
+def _reduction_workspace(config):
+    """Reduction workspace of the chart energy at the configured base loop."""
     mesh = build_circle_mesh(config.domain.n_nodes, config.domain.diff_order)
     target = _make_target(config)
-    base = _base_points(mesh, target, config.base_map)
-    bundle = build_pullback_bundle(mesh, target, base)
-    functional = energy_functional_on_bundle(bundle)
-    workspace = build_reduction_workspace(
+    bundle = build_pullback_bundle(mesh, target, _base_points(mesh, target, config.base_map))
+    return build_reduction_workspace(
         bundle,
-        functional,
+        energy_functional_on_bundle(bundle),
         kernel_tol=config.reduction.kernel_tol,
         newton_tol=config.reduction.newton_tol,
         newton_max_iter=config.reduction.newton_max_iter,
     )
+
+
+def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
+    """Energy gap against Euler-Lagrange norm for kernel-orthogonal sections."""
+    workspace = _reduction_workspace(config)
+    bundle, functional = workspace.bundle, workspace.functional
     rng = np.random.default_rng(config.perturbation.seed if seed is None else seed)
     gaps, grads = [], []
     for amp in amplitudes:
@@ -324,18 +328,7 @@ def _run_loj_estimate(config, outdir, seed):
 
 
 def _run_reduce(config, outdir, seed):
-    mesh = build_circle_mesh(config.domain.n_nodes, config.domain.diff_order)
-    target = _make_target(config)
-    base = _base_points(mesh, target, config.base_map)
-    bundle = build_pullback_bundle(mesh, target, base)
-    functional = energy_functional_on_bundle(bundle)
-    workspace = build_reduction_workspace(
-        bundle,
-        functional,
-        kernel_tol=config.reduction.kernel_tol,
-        newton_tol=config.reduction.newton_tol,
-        newton_max_iter=config.reduction.newton_max_iter,
-    )
+    workspace = _reduction_workspace(config)
     use_seed = config.perturbation.seed if seed is None else seed
     loj = config.lojasiewicz
     report = {

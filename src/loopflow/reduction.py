@@ -9,23 +9,25 @@ threshold, and a tenfold spectral gap between kept and discarded
 eigenvalues is enforced so a mis-sized kernel fails loudly instead of
 silently.
 
-All Newton work happens in frame coordinates. The quadrature weight is
+The kernel is held as one (m, l) matrix K of frame coordinates, and all
+Newton work happens in frame coordinates. The quadrature weight is
 uniform, so the L2 inner product of sections is h times the Euclidean
-one on coordinates, and the kernel projector is the dense rank-l matrix
-h K K^T. Newton is a chord iteration on the workspace's own matrix
-P_K + L(0), and a Jacobian is assembled only when a chord step stops
-halving the residual. The reduced gradient is exact: one assembly at
-Psi(xi.phi) and one linear solve.
+one on coordinates: h K^T K = I, and the kernel projector is the dense
+rank-l matrix h K K^T. N is defined once, on frame coordinates. Newton
+is a chord iteration on the workspace's own matrix P_K + L(0), and a
+Jacobian is assembled only when a chord step stops halving the residual.
+The reduced gradient is exact: one assembly and one linear solve.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .bundles import _check_same_bundle, l2_norm, project_section, section, sobolev_norms
 from .flow import _common_slope, _ols
 from .variational import (
+    _from_coords,
+    _to_coords,
     fiber_frames,
     frame_linearization,
     functional_value,
@@ -50,6 +52,7 @@ __all__ = [
     "sandwich_sweep",
 ]
 
+# Relative to the spectral radius; differencing leaves ~6e-11 at any n.
 _SYMMETRY_TOL = 1e-5
 _GAP_FACTOR = 10.0
 _NEWTON_BASIN = 0.1
@@ -61,11 +64,15 @@ _CHORD_RATIO = 0.5
 
 @dataclass(frozen=True)
 class ReductionWorkspace:
+    """The linearization at the zero section and its kernel K, held as
+    L2-orthonormal frame coordinates (h K^T K = I); kernel_basis is K as
+    sections."""
+
     bundle: object
     functional: object
     frames: np.ndarray            # (n, p, p-1) fiber frames
     frame_matrix: np.ndarray      # (m, m) linearization on frame coords
-    kernel_basis: Tuple           # BundleSections, L2-orthonormal
+    kernel: np.ndarray            # (m, l) kernel in frame coords
     kernel_eigenvalues: np.ndarray
     kernel_tol: float
     newton_tol: float
@@ -78,34 +85,29 @@ class ReductionWorkspace:
 
     @property
     def kernel_dim(self):
-        return len(self.kernel_basis)
+        return self.kernel.shape[1]
+
+    @property
+    def kernel_basis(self):
+        """The kernel vectors as L2-orthonormal sections."""
+        return tuple(section(self.bundle, _from_coords(self.frames, k)) for k in self.kernel.T)
 
 
-def _to_coords(frames, values):
-    n, p, q = frames.shape
-    return np.einsum("npa,np->na", frames, values).reshape(n * q)
-
-
-def _from_coords(frames, coords):
-    n, p, q = frames.shape
-    return np.einsum("npa,na->np", frames, coords.reshape(n, q))
-
-
-def _spectral_split(L_frame, spacing, kernel_tol):
-    """Eigendecompose and split into kernel and complement.
+def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
+    """Eigendecompose the symmetrized linearization, whose raw asymmetry
+    is checked, and split it into kernel and complement.
 
     Returns kept coordinate vectors (L2-orthonormalized), kept
     eigenvalues, and the gap bookkeeping.
     """
-    asym = float(np.max(np.abs(L_frame - L_frame.T)))
-    if asym > _SYMMETRY_TOL:
-        raise ValueError(
-            f"linearization asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.0e}"
-        )
-    sym = 0.5 * (L_frame + L_frame.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs = np.linalg.eigh(L_frame)
     mags = np.abs(eigvals)
     radius = float(np.max(mags)) if mags.size else 0.0
+    if not asymmetry <= _SYMMETRY_TOL * radius:
+        raise ValueError(
+            f"linearization asymmetry {asymmetry:.3e} exceeds {_SYMMETRY_TOL:.0e} "
+            f"of its spectral radius {radius:.3e}"
+        )
     threshold = kernel_tol * radius
     keep = mags < threshold
     kept_vals = eigvals[keep]
@@ -145,23 +147,18 @@ def build_reduction_workspace(
     xi_radius=0.05,
 ):
     frames = fiber_frames(bundle)
-    L_frame, _ = frame_linearization(bundle, functional, frames=frames)
-    vecs, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
-        L_frame, bundle.mesh.spacing, kernel_tol
+    L_frame, asymmetry = frame_linearization(bundle, functional, frames=frames)
+    kernel, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
+        L_frame, asymmetry, bundle.mesh.spacing, kernel_tol
     )
-    basis = tuple(
-        section(bundle, _from_coords(frames, vecs[:, j])) for j in range(vecs.shape[1])
-    )
-    for arr in (L_frame, frames):
+    for arr in (L_frame, frames, kernel, vals):
         arr.setflags(write=False)
-    vals = vals.copy()
-    vals.setflags(write=False)
     return ReductionWorkspace(
         bundle=bundle,
         functional=functional,
         frames=frames,
         frame_matrix=L_frame,
-        kernel_basis=basis,
+        kernel=kernel,
         kernel_eigenvalues=vals,
         kernel_tol=float(kernel_tol),
         newton_tol=float(newton_tol),
@@ -174,58 +171,50 @@ def build_reduction_workspace(
     )
 
 
-def _kernel_values(workspace):
-    """The kernel basis stacked into one (l, n, p) array."""
-    shape = (workspace.kernel_dim,) + workspace.bundle.base_map.shape
-    return np.array([phi.values for phi in workspace.kernel_basis]).reshape(shape)
-
-
 def kernel_coordinates(workspace, sec):
-    """L2 pairings <u, phi_j>, an l-vector."""
+    """L2 pairings <u, phi_j>, an l-vector: h K^T F^T u on frame coordinates."""
     _check_same_bundle(workspace.bundle, sec)
-    w = workspace.bundle.mesh.quad_weights
-    return np.sum(w * np.sum(_kernel_values(workspace) * sec.values, axis=2), axis=1)
+    h = workspace.bundle.mesh.spacing
+    return h * (workspace.kernel.T @ _to_coords(workspace.frames, sec.values))
 
 
 def kernel_combination(workspace, xi):
+    """The section sum_j xi_j phi_j, that is F K xi."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (workspace.kernel_dim,):
         raise ValueError(f"xi must have length {workspace.kernel_dim}")
-    values = np.sum(xi[:, None, None] * _kernel_values(workspace), axis=0)
-    return section(workspace.bundle, values)
+    return section(workspace.bundle, _from_coords(workspace.frames, workspace.kernel @ xi))
 
 
 def project_onto_kernel(workspace, sec):
     return kernel_combination(workspace, kernel_coordinates(workspace, sec))
 
 
+def _N(workspace, u):
+    """N(u) = P_K u + M_F(u) on frame coordinates u, with P_K = h K K^T."""
+    bundle, frames, K = workspace.bundle, workspace.frames, workspace.kernel
+    v = project_section(bundle, _from_coords(frames, u))
+    mf = general_euler_lagrange(bundle, workspace.functional, v)
+    return bundle.mesh.spacing * (K @ (K.T @ u)) + _to_coords(frames, mf.values)
+
+
 def apply_N(workspace, u):
-    """N(u) = P_K u + M_F(u)."""
+    """N applied to a section u, through its frame coordinates."""
     _check_same_bundle(workspace.bundle, u)
-    pk = project_onto_kernel(workspace, u)
-    mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
-    return section(workspace.bundle, pk.values + mf.values)
-
-
-def _kernel_coord_matrix(workspace):
-    """Frame-coordinate matrix of P_K: h K K^T for L2-orthonormal columns K."""
-    m = workspace.frame_matrix.shape[0]
-    if workspace.kernel_dim == 0:
-        return np.zeros((m, m))
-    K = np.stack(
-        [_to_coords(workspace.frames, phi.values) for phi in workspace.kernel_basis],
-        axis=1,
-    )
-    return workspace.bundle.mesh.spacing * (K @ K.T)
+    frames = workspace.frames
+    n_coords = _N(workspace, _to_coords(frames, u.values))
+    return section(workspace.bundle, _from_coords(frames, n_coords))
 
 
 def invert_N(workspace, f, return_info=False):
-    """Solve N(u) = f by chord Newton from u0 = f.
+    """Solve N(u) = f by chord Newton from u0 = f, in frame coordinates.
 
-    The chord matrix starts as the workspace's own P_K + L(0), which
-    costs no assembly. A full chord step is kept while it at least halves
-    the residual or meets newton_tol. Otherwise the Jacobian P_K + L(u)
-    is assembled at the current iterate, becomes the chord matrix, and a
+    f's bundle is checked once; every residual f - N(u) is then taken on
+    frame coordinates by the one function that defines N. The chord
+    matrix starts as the workspace's own P_K + L(0), which costs no
+    assembly. A full chord step is kept while it at least halves the
+    residual or meets newton_tol. Otherwise the Jacobian P_K + L(u) is
+    assembled at the current iterate, becomes the chord matrix, and a
     Newton step is taken whose residual increase triggers step halving
     (up to 8). Raises RuntimeError when the residual tolerance is not met
     within newton_max_iter iterations, which operationally marks f as
@@ -241,14 +230,12 @@ def invert_N(workspace, f, return_info=False):
         raise ValueError(
             f"right-hand side norm {fnorm:.3f} is outside the inversion basin {_NEWTON_BASIN}"
         )
-    frames = workspace.frames
-    pk_mat = _kernel_coord_matrix(workspace)
+    frames, K = workspace.frames, workspace.kernel
+    pk_mat = h * (K @ K.T)
     f_coords = _to_coords(frames, f.values)
 
     def residual(u_coords):
-        u_sec = section(bundle, _from_coords(frames, u_coords))
-        n_val = apply_N(workspace, u_sec)
-        r = f_coords - _to_coords(frames, n_val.values)
+        r = f_coords - _N(workspace, u_coords)
         return r, float(np.sqrt(h) * np.linalg.norm(r))
 
     iters = assemblies = halvings = 0
@@ -332,10 +319,11 @@ def _gradient_at(workspace, u, mf):
     on the kernel, and that matrix is symmetric, so the gradient is
     <(P_K + L(u))^{-1} M_F(u), phi_j>: one assembly and one solve.
     """
-    bundle, frames = workspace.bundle, workspace.frames
+    bundle, frames, K = workspace.bundle, workspace.frames, workspace.kernel
+    h = bundle.mesh.spacing
     L_u, _ = frame_linearization(bundle, workspace.functional, at_values=u.values, frames=frames)
-    x = np.linalg.solve(_kernel_coord_matrix(workspace) + L_u, _to_coords(frames, mf.values))
-    return kernel_coordinates(workspace, section(bundle, _from_coords(frames, x)))
+    x = np.linalg.solve(h * (K @ K.T) + L_u, _to_coords(frames, mf.values))
+    return h * (K.T @ x)
 
 
 def reduced_gradient(workspace, xi):

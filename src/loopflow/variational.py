@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bundles import project_section, section
+from .bundles import project_section, section, sobolev_norms
 from .mesh import (
     build_circle_mesh,
     differentiate,
@@ -405,6 +405,18 @@ def fiber_frames(bundle):
     return frames
 
 
+def _to_coords(frames, values):
+    """Frame coordinates of nodal vectors: F^T v, node-major, p-1 per node."""
+    n, p, q = frames.shape
+    return np.einsum("npa,np->na", frames, values).reshape(n * q)
+
+
+def _from_coords(frames, coords):
+    """Nodal vectors F c of frame coordinates; they lie in the fibers."""
+    n, p, q = frames.shape
+    return np.einsum("npa,na->np", frames, coords.reshape(n, q))
+
+
 def _arc_colouring(n, separation):
     """Colour classes of the nodes 0..n-1, members of a class pairwise at
     least `separation` apart around the circle.
@@ -475,15 +487,10 @@ def quadratic_remainder_check(bundle, functional, s1, s2, lin=None, frames=None)
     if lin is None:
         lin, _ = frame_linearization(bundle, functional, None, frames=frames)
     mesh = bundle.mesh
-    n, p = bundle.base_map.shape
-    q = p - 1
     d = s1.values - s2.values
-    coords = np.einsum("npa,np->na", frames, d).reshape(n * q)
-    ld = (lin @ coords).reshape(n, q)
-    ld_ambient = np.einsum("npa,na->np", frames, ld)
     m1 = general_euler_lagrange(bundle, functional, s1).values
     m2 = general_euler_lagrange(bundle, functional, s2).values
-    rem_field = m1 - m2 - ld_ambient
+    rem_field = m1 - m2 - _from_coords(frames, lin @ _to_coords(frames, d))
     w = mesh.quad_weights
     remainder = float(np.sqrt(np.sum(w * np.sum(rem_field**2, axis=1))))
 
@@ -492,8 +499,6 @@ def quadratic_remainder_check(bundle, functional, s1, s2, lin=None, frames=None)
         b = np.linalg.norm(differentiate(mesh, values), axis=1)
         c = np.linalg.norm(laplace_beltrami(mesh, values), axis=1)
         return float(np.max(a + b + c))
-
-    from .bundles import sobolev_norms
 
     diff = section(bundle, d)
     _, _, w22 = sobolev_norms(diff)

@@ -8,6 +8,8 @@ from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
 from loopflow.flow import _common_slope
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import (
+    _random_fiber_field,
+    _random_smooth_section,
     _spectral_split,
     apply_N,
     approximation_check,
@@ -28,11 +30,12 @@ from loopflow.targets import TargetManifold
 from loopflow.variational import energy_functional_on_bundle, with_quartic_penalty
 
 
-def equator_bundle(n):
-    mesh = build_circle_mesh(n)
-    t = TargetManifold.sphere(3)
+def equator_bundle(n, target=None, diff_order=2):
+    mesh = build_circle_mesh(n, diff_order)
+    t = TargetManifold.sphere(3) if target is None else target
     th = mesh.node_angles
-    base = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
+    base = np.zeros((n, t.ambient_dim))
+    base[:, 0], base[:, 1] = np.cos(th), np.sin(th)
     return build_pullback_bundle(mesh, t, base)
 
 
@@ -47,6 +50,23 @@ def quartic_ws():
     b = equator_bundle(64)
     func = energy_functional_on_bundle(b)
     return build_reduction_workspace(b, with_quartic_penalty(b, func, 5.0))
+
+
+@pytest.fixture(scope="module")
+def s3_ws():
+    b = equator_bundle(32, TargetManifold.sphere(4))
+    return build_reduction_workspace(b, energy_functional_on_bundle(b))
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_ws():
+    b = equator_bundle(32, TargetManifold.ellipsoid((1.0, 1.0, 1.3)), diff_order=4)
+    return build_reduction_workspace(b, energy_functional_on_bundle(b))
+
+
+# The S^2 equator (q = 2), the S^3 great circle (q = 3) and the order-4
+# ellipsoid equator, whose kernels have dimensions 3, 5 and 1.
+WORKSPACES = ["energy_ws", "s3_ws", "ellipsoid_ws"]
 
 
 def test_workspace_kernel_layout(energy_ws):
@@ -69,7 +89,7 @@ def test_workspace_frame_matrix_symmetric(energy_ws):
 
 def test_compute_kernel_basis_is_orthonormal(energy_ws):
     h = energy_ws.bundle.mesh.spacing
-    vecs, vals, *_ = _spectral_split(energy_ws.frame_matrix, h, 1e-6)
+    vecs, vals, *_ = _spectral_split(energy_ws.frame_matrix, 0.0, h, 1e-6)
     assert vecs.shape == (64 * 2, 3)
     assert vals.shape == (3,)
     # frame coordinates are orthonormal per node, so the L2 pairing is h x Euclidean
@@ -80,7 +100,8 @@ def test_compute_kernel_empty_for_shifted_operator(energy_ws):
     # adding the identity on frame coordinates pushes every eigenvalue up by
     # one, so nothing survives the relative threshold
     L = energy_ws.frame_matrix
-    vecs, vals, *_ = _spectral_split(L + np.eye(L.shape[0]), energy_ws.bundle.mesh.spacing, 1e-6)
+    h = energy_ws.bundle.mesh.spacing
+    vecs, vals, *_ = _spectral_split(L + np.eye(L.shape[0]), 0.0, h, 1e-6)
     assert vecs.shape == (L.shape[0], 0)
     assert vals.size == 0
 
@@ -88,8 +109,22 @@ def test_compute_kernel_empty_for_shifted_operator(energy_ws):
 def test_compute_kernel_rejects_asymmetry(energy_ws):
     L = energy_ws.frame_matrix.copy()
     L[2, 5] += 1.0
+    asymmetry = float(np.max(np.abs(L - L.T)))
     with pytest.raises(ValueError, match="asymmetry"):
-        _spectral_split(L, energy_ws.bundle.mesh.spacing, 1e-6)
+        _spectral_split(L, asymmetry, energy_ws.bundle.mesh.spacing, 1e-6)
+
+
+def test_asymmetric_linearization_is_rejected():
+    # a field that reads node j-1 but not j+1 has a raw asymmetry of 1.0,
+    # which symmetrizing would hide
+    b = equator_bundle(32)
+    func = energy_functional_on_bundle(b)
+    el = func.euler_lagrange_fn
+    skewed = dataclasses.replace(
+        func, euler_lagrange_fn=lambda bnd, v: el(bnd, v) + np.roll(v, 1, axis=0)
+    )
+    with pytest.raises(ValueError, match="asymmetry"):
+        build_reduction_workspace(b, skewed)
 
 
 def test_compute_kernel_rejects_missing_gap(energy_ws):
@@ -103,7 +138,7 @@ def test_compute_kernel_rejects_missing_gap(energy_ws):
     d[1] = 5e-7
     d[2] = 4e-6  # within 10x of 5e-7 but above threshold 1e-6
     with pytest.raises(ValueError, match="spectral gap"):
-        _spectral_split((Q * d) @ Q.T, energy_ws.bundle.mesh.spacing, 1e-6)
+        _spectral_split((Q * d) @ Q.T, 0.0, energy_ws.bundle.mesh.spacing, 1e-6)
 
 
 def test_kernel_coordinates_round_trip(energy_ws):
@@ -117,6 +152,15 @@ def test_kernel_coordinates_round_trip(energy_ws):
     )
     with pytest.raises(ValueError, match="length"):
         kernel_combination(ws, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", WORKSPACES)
+def test_kernel_coordinates_are_l2_pairings(name, request):
+    # the identity the coordinate path rests on: h K^T F^T u = <u, phi_j>
+    ws = request.getfixturevalue(name)
+    sec = _random_fiber_field(ws.bundle, np.random.default_rng(11))
+    want = [l2_inner(sec, phi) for phi in ws.kernel_basis]
+    np.testing.assert_allclose(kernel_coordinates(ws, sec), want, rtol=0.0, atol=1e-13)
 
 
 def test_sections_of_another_bundle_are_rejected(energy_ws):
@@ -139,9 +183,16 @@ def test_apply_N_at_zero(energy_ws):
     assert l2_norm(out) < 5e-3
 
 
-def test_invert_N_is_right_inverse(energy_ws):
-    ws = energy_ws
-    f = kernel_combination(ws, np.array([0.02, -0.01, 0.015]))
+@pytest.mark.parametrize("name", WORKSPACES)
+def test_invert_N_is_right_inverse(name, request):
+    ws = request.getfixturevalue(name)
+    # A kernel combination alone can be solved already: on the ellipsoid
+    # the rotation field gives N(f) = f to 5e-11, and Newton takes no step.
+    # The seeded off-kernel part makes every case iterate.
+    xi = np.array([0.02, -0.01, 0.015, 0.01, -0.005])[: ws.kernel_dim]
+    kernel_part = kernel_combination(ws, xi)
+    off_kernel = _random_smooth_section(ws.bundle, np.random.default_rng(3))
+    f = section(ws.bundle, kernel_part.values + 0.01 * off_kernel.values)
     u, info = invert_N(ws, f, return_info=True)
     back = apply_N(ws, u)
     assert l2_norm(section(ws.bundle, back.values - f.values)) < 5e-9
