@@ -1,10 +1,10 @@
 """Sections of the pullback tangent bundle over a base loop.
 
 A bundle is the base map phi0 together with the tangent projector of the
-target at each node; a section stores one fiber vector per node. The
-bundle gradient is the fiberwise projected derivative of the section.
-Charts move between small sections and nearby loops on the target
-through nearest-point projection.
+target at each node and an orthonormal frame of each fiber; a section
+stores one fiber vector per node. The bundle gradient is the fiberwise
+projected derivative of the section. Charts move between small sections
+and nearby loops on the target through nearest-point projection.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ class PullbackBundle:
     target: object
     base_map: np.ndarray  # (n, p), points on the target
     projectors: np.ndarray  # (n, p, p), orthogonal projectors onto the fibers
+    frames: np.ndarray  # (n, p, p-1), orthonormal bases of the fibers
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,35 @@ def build_pullback_bundle(mesh, target, base_map):
         )
     target.require_on_manifold(base, tol=1e-10, what="base map")
     projectors = np.stack([target.tangent_projector(y) for y in base])
+    frames = _fiber_frames(projectors)
     base = base.copy()
-    base.setflags(write=False)
-    projectors.setflags(write=False)
-    return PullbackBundle(mesh, target, base, projectors)
+    for arr in (base, projectors, frames):
+        arr.setflags(write=False)
+    return PullbackBundle(mesh, target, base, projectors, frames)
+
+
+def _fiber_frames(projectors):
+    """Deterministic orthonormal bases of the fibers, shape (n, p, p-1).
+
+    Greedy Gram-Schmidt on the projected coordinate axes: stable under
+    small perturbations of the base map and reproducible across runs.
+    """
+    n, p, _ = projectors.shape
+    q = p - 1
+    frames = np.empty((n, p, q))
+    for i in range(n):
+        cols = projectors[i].copy()
+        chosen = []
+        for _ in range(q):
+            norms = np.linalg.norm(cols, axis=0)
+            j = int(np.argmax(norms))
+            if norms[j] < 1e-12:
+                raise ValueError(f"fiber at node {i} has deficient rank")
+            v = cols[:, j] / norms[j]
+            chosen.append(v)
+            cols = cols - np.outer(v, v @ cols)
+        frames[i] = np.stack(chosen, axis=1)
+    return frames
 
 
 def section(bundle, values):

@@ -156,6 +156,11 @@ def _validate(config):
              and all(a > 0 for a in axes),
              "target.semi_axes must list one positive length per ambient dimension"),
         )
+    else:
+        checks.append(
+            (config.target.semi_axes is None,
+             "target.semi_axes applies to an ellipsoid only; leave it out for a sphere"),
+        )
     for ok, message in checks:
         if not ok:
             raise ValueError(message)

@@ -28,7 +28,6 @@ from .flow import _common_slope, _ols
 from .variational import (
     _from_coords,
     _to_coords,
-    fiber_frames,
     frame_linearization,
     functional_value,
     general_euler_lagrange,
@@ -70,7 +69,6 @@ class ReductionWorkspace:
 
     bundle: object
     functional: object
-    frames: np.ndarray            # (n, p, p-1) fiber frames
     frame_matrix: np.ndarray      # (m, m) linearization on frame coords
     kernel: np.ndarray            # (m, l) kernel in frame coords
     kernel_eigenvalues: np.ndarray
@@ -90,7 +88,7 @@ class ReductionWorkspace:
     @property
     def kernel_basis(self):
         """The kernel vectors as L2-orthonormal sections."""
-        return tuple(section(self.bundle, _from_coords(self.frames, k)) for k in self.kernel.T)
+        return tuple(section(self.bundle, _from_coords(self.bundle, k)) for k in self.kernel.T)
 
 
 def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
@@ -146,17 +144,15 @@ def build_reduction_workspace(
     newton_max_iter=50,
     xi_radius=0.05,
 ):
-    frames = fiber_frames(bundle)
-    L_frame, asymmetry = frame_linearization(bundle, functional, frames=frames)
+    L_frame, asymmetry = frame_linearization(bundle, functional)
     kernel, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
         L_frame, asymmetry, bundle.mesh.spacing, kernel_tol
     )
-    for arr in (L_frame, frames, kernel, vals):
+    for arr in (L_frame, kernel, vals):
         arr.setflags(write=False)
     return ReductionWorkspace(
         bundle=bundle,
         functional=functional,
-        frames=frames,
         frame_matrix=L_frame,
         kernel=kernel,
         kernel_eigenvalues=vals,
@@ -175,7 +171,7 @@ def kernel_coordinates(workspace, sec):
     """L2 pairings <u, phi_j>, an l-vector: h K^T F^T u on frame coordinates."""
     _check_same_bundle(workspace.bundle, sec)
     h = workspace.bundle.mesh.spacing
-    return h * (workspace.kernel.T @ _to_coords(workspace.frames, sec.values))
+    return h * (workspace.kernel.T @ _to_coords(workspace.bundle, sec.values))
 
 
 def kernel_combination(workspace, xi):
@@ -183,7 +179,7 @@ def kernel_combination(workspace, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (workspace.kernel_dim,):
         raise ValueError(f"xi must have length {workspace.kernel_dim}")
-    return section(workspace.bundle, _from_coords(workspace.frames, workspace.kernel @ xi))
+    return section(workspace.bundle, _from_coords(workspace.bundle, workspace.kernel @ xi))
 
 
 def project_onto_kernel(workspace, sec):
@@ -192,18 +188,18 @@ def project_onto_kernel(workspace, sec):
 
 def _N(workspace, u):
     """N(u) = P_K u + M_F(u) on frame coordinates u, with P_K = h K K^T."""
-    bundle, frames, K = workspace.bundle, workspace.frames, workspace.kernel
-    v = project_section(bundle, _from_coords(frames, u))
+    bundle, K = workspace.bundle, workspace.kernel
+    v = project_section(bundle, _from_coords(bundle, u))
     mf = general_euler_lagrange(bundle, workspace.functional, v)
-    return bundle.mesh.spacing * (K @ (K.T @ u)) + _to_coords(frames, mf.values)
+    return bundle.mesh.spacing * (K @ (K.T @ u)) + _to_coords(bundle, mf.values)
 
 
 def apply_N(workspace, u):
     """N applied to a section u, through its frame coordinates."""
     _check_same_bundle(workspace.bundle, u)
-    frames = workspace.frames
-    n_coords = _N(workspace, _to_coords(frames, u.values))
-    return section(workspace.bundle, _from_coords(frames, n_coords))
+    bundle = workspace.bundle
+    n_coords = _N(workspace, _to_coords(bundle, u.values))
+    return section(bundle, _from_coords(bundle, n_coords))
 
 
 def invert_N(workspace, f, return_info=False):
@@ -230,9 +226,9 @@ def invert_N(workspace, f, return_info=False):
         raise ValueError(
             f"right-hand side norm {fnorm:.3f} is outside the inversion basin {_NEWTON_BASIN}"
         )
-    frames, K = workspace.frames, workspace.kernel
+    K = workspace.kernel
     pk_mat = h * (K @ K.T)
-    f_coords = _to_coords(frames, f.values)
+    f_coords = _to_coords(bundle, f.values)
 
     def residual(u_coords):
         r = f_coords - _N(workspace, u_coords)
@@ -256,9 +252,7 @@ def invert_N(workspace, f, return_info=False):
         r_new, rnorm_new = residual(u + delta)
         # Written so that a NaN residual also refreshes the Jacobian.
         if not (rnorm_new <= _CHORD_RATIO * rnorm or rnorm_new <= workspace.newton_tol):
-            L_u, _ = frame_linearization(
-                bundle, workspace.functional, at_values=_from_coords(frames, u), frames=frames
-            )
+            L_u, _ = frame_linearization(bundle, workspace.functional, at_values=_from_coords(bundle, u))
             assemblies += 1
             chord = pk_mat + L_u
             delta = step(chord, r)
@@ -284,7 +278,7 @@ def invert_N(workspace, f, return_info=False):
             f"Newton did not reach tolerance {workspace.newton_tol:.1e} in "
             f"{workspace.newton_max_iter} iterations (residual {rnorm:.3e})"
         )
-    result = section(bundle, _from_coords(frames, u))
+    result = section(bundle, _from_coords(bundle, u))
     if return_info:
         return result, {
             "residuals": history,
@@ -319,10 +313,10 @@ def _gradient_at(workspace, u, mf):
     on the kernel, and that matrix is symmetric, so the gradient is
     <(P_K + L(u))^{-1} M_F(u), phi_j>: one assembly and one solve.
     """
-    bundle, frames, K = workspace.bundle, workspace.frames, workspace.kernel
+    bundle, K = workspace.bundle, workspace.kernel
     h = bundle.mesh.spacing
-    L_u, _ = frame_linearization(bundle, workspace.functional, at_values=u.values, frames=frames)
-    x = np.linalg.solve(h * (K @ K.T) + L_u, _to_coords(frames, mf.values))
+    L_u, _ = frame_linearization(bundle, workspace.functional, at_values=u.values)
+    x = np.linalg.solve(h * (K @ K.T) + L_u, _to_coords(bundle, mf.values))
     return h * (K.T @ x)
 
 

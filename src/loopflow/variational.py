@@ -6,24 +6,25 @@ order-2 mesh. The tension field is the classical pointwise assembly
 Delta u minus the curvature contraction; its fiberwise tangential part
 is the constrained gradient of the discrete energy up to O(h^2).
 
-Functionals over a pullback bundle are described by an integrand
-F(theta, z, eta) and one of two ways to evaluate and differentiate it.
-A generic functional carries partials in the z and eta slots, checked
-against the differenced integrand when make_functional_spec builds it;
-its Euler-Lagrange assembly differentiates a staggered (midpoint-flux)
-quadrature of the integrand, which makes the discrete duality
-<M_F(u), v> = d/ds F(u + s v) exact up to rounding. The energy
-functional of a chart, with or without a quartic penalty, carries exact
-value and gradient routines instead: the value composes the chart with
-the energy itself, and the gradient differentiates a compact-stencil
-energy through the chart, so loops that are exact critical points of the
-discrete energy stay exact critical points of the reduced machinery.
-Either way the field at node j reads only nodes j-1, j and j+1, which is
-what lets frame_linearization probe the Jacobian as a band of radius 1.
+A functional over a pullback bundle is an integrand F(theta, z, eta)
+together with two routines on nodal section values: its value and its
+Euler-Lagrange field. For a generic integrand, make_functional_spec
+checks the partials in the z and eta slots against the differenced
+integrand and builds the routines as a staggered (midpoint-flux)
+quadrature of the integrand and the exact gradient of that quadrature,
+which makes the discrete duality <M_F(u), v> = d/ds F(u + s v) exact up
+to rounding. The energy functional of a chart builds them from the
+energy itself: the value composes the chart with the energy, and the
+gradient differentiates a compact-stencil energy through the chart, so
+loops that are exact critical points of the discrete energy stay exact
+critical points of the reduced machinery. with_quartic_penalty adds a
+node-by-node quartic term to either kind. In every case the field at
+node j reads only nodes j-1, j and j+1, which is what lets
+frame_linearization probe the Jacobian as a band of radius 1.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "general_euler_lagrange",
     "energy_functional_on_bundle",
     "with_quartic_penalty",
-    "fiber_frames",
     "frame_linearization",
     "quadratic_remainder_check",
     "ellipticity_check",
@@ -146,49 +146,63 @@ def first_variation_check(state, direction, step=1e-5):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """An integrand with either checked partials or exact routines.
+    """An integrand with the routines that evaluate and differentiate it.
 
-    integrand, partial_z and partial_eta have signature (theta, z, eta)
-    with z and eta ambient vectors; the integrand is always present,
-    because ellipticity_check reads it. A spec holds exactly one pair:
-    partial_z and partial_eta, which make_functional_spec checks and the
-    generic staggered quadrature and assembly use; or value_fn and
-    euler_lagrange_fn, which energy_functional_on_bundle and
-    with_quartic_penalty build so that the critical set is exactly the
-    critical set of the discrete energy.
+    The integrand has signature (theta, z, eta) with z and eta ambient
+    vectors; ellipticity_check reads it. value_fn(bundle, values) and
+    euler_lagrange_fn(bundle, values) take the nodal values of a section:
+    the first returns the functional's value, normalized so F(0) = 0, and
+    the second its raw Euler-Lagrange field, which general_euler_lagrange
+    projects into the fibers.
     """
 
     label: str
     integrand: Callable
     validity_radius: float
-    partial_z: Optional[Callable] = None
-    partial_eta: Optional[Callable] = None
-    value_fn: Optional[Callable] = None
-    euler_lagrange_fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        partials = (self.partial_z is not None, self.partial_eta is not None)
-        exact = (self.value_fn is not None, self.euler_lagrange_fn is not None)
-        if not (all(partials) and not any(exact) or all(exact) and not any(partials)):
-            raise ValueError(
-                f"functional '{self.label}' needs either both partials or both "
-                "exact routines (value_fn, euler_lagrange_fn), not a mix"
-            )
+    value_fn: Callable
+    euler_lagrange_fn: Callable
 
 
 def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3, probe_dim=3):
     """FunctionalSpec for a generic integrand, after checking its partials
-    against central differences of the integrand at 100 seeded probes."""
+    against central differences of the integrand at 100 seeded probes.
+
+    The value is the staggered (midpoint) quadrature of the integrand.
+    The Euler-Lagrange field differentiates that quadrature: node j
+    receives the averaged z-partial minus the difference of the
+    fiber-projected eta-flux.
+    """
     if validity_radius <= 0.0:
         raise ValueError("validity_radius must be positive")
-    spec = FunctionalSpec(
-        label, integrand, float(validity_radius), partial_z=partial_z, partial_eta=partial_eta
-    )
-    _validate_partials(spec, probe_dim)
-    return spec
+    _validate_partials(label, integrand, partial_z, partial_eta, probe_dim)
+
+    def value_fn(bundle, values):
+        mid, vbar, _, eta = _staggered_data(bundle, values)
+        h = bundle.mesh.spacing
+        zero = np.zeros(bundle.target.ambient_dim)
+        total = 0.0
+        for i in range(bundle.mesh.n_nodes):
+            total += integrand(mid[i], vbar[i], eta[i])
+            total -= integrand(mid[i], zero, zero)
+        return h * total
+
+    def el_fn(bundle, values):
+        n, p = values.shape
+        mid, vbar, pbar, eta = _staggered_data(bundle, values)
+        fz = np.empty((n, p))
+        flux = np.empty((n, p))
+        for i in range(n):
+            fz[i] = np.asarray(partial_z(mid[i], vbar[i], eta[i]), dtype=float)
+            fe = np.asarray(partial_eta(mid[i], vbar[i], eta[i]), dtype=float)
+            flux[i] = pbar[i] @ fe
+        fz_prev = np.roll(fz, 1, axis=0)
+        flux_prev = np.roll(flux, 1, axis=0)
+        return 0.5 * (fz + fz_prev) - (flux - flux_prev) / bundle.mesh.spacing
+
+    return FunctionalSpec(label, integrand, float(validity_radius), value_fn, el_fn)
 
 
-def _validate_partials(spec, dim, n_probes=100, tol=1e-6):
+def _validate_partials(label, integrand, partial_z, partial_eta, dim, n_probes=100, tol=1e-6):
     rng = np.random.default_rng(1711)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=n_probes)
     fd = 1e-6
@@ -196,21 +210,21 @@ def _validate_partials(spec, dim, n_probes=100, tol=1e-6):
         th = float(thetas[k])
         z = 0.02 * rng.standard_normal(dim)
         eta = 0.02 * rng.standard_normal(dim)
-        az = np.asarray(spec.partial_z(th, z, eta), dtype=float)
-        ae = np.asarray(spec.partial_eta(th, z, eta), dtype=float)
+        az = np.asarray(partial_z(th, z, eta), dtype=float)
+        ae = np.asarray(partial_eta(th, z, eta), dtype=float)
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = fd
-            dz = (spec.integrand(th, z + e, eta) - spec.integrand(th, z - e, eta)) / (2 * fd)
-            de = (spec.integrand(th, z, eta + e) - spec.integrand(th, z, eta - e)) / (2 * fd)
+            dz = (integrand(th, z + e, eta) - integrand(th, z - e, eta)) / (2 * fd)
+            de = (integrand(th, z, eta + e) - integrand(th, z, eta - e)) / (2 * fd)
             if abs(dz - az[j]) > tol * (1.0 + abs(az[j])):
                 raise ValueError(
-                    f"functional '{spec.label}': partial_z[{j}] disagrees with the "
+                    f"functional '{label}': partial_z[{j}] disagrees with the "
                     f"differenced integrand by {abs(dz - az[j]):.3e}"
                 )
             if abs(de - ae[j]) > tol * (1.0 + abs(ae[j])):
                 raise ValueError(
-                    f"functional '{spec.label}': partial_eta[{j}] disagrees with the "
+                    f"functional '{label}': partial_eta[{j}] disagrees with the "
                     f"differenced integrand by {abs(de - ae[j]):.3e}"
                 )
 
@@ -236,44 +250,16 @@ def _staggered_data(bundle, values):
 
 
 def functional_value(bundle, functional, sec):
-    """Quadrature value of the functional, normalized so F(0) = 0."""
+    """Value of the functional at a section, normalized so F(0) = 0."""
     _require_validity(functional, sec.values)
-    if functional.value_fn is not None:
-        return float(functional.value_fn(bundle, sec.values))
-    mid, vbar, _, eta = _staggered_data(bundle, sec.values)
-    h = bundle.mesh.spacing
-    zero = np.zeros(bundle.target.ambient_dim)
-    total = 0.0
-    for i in range(bundle.mesh.n_nodes):
-        total += functional.integrand(mid[i], vbar[i], eta[i])
-        total -= functional.integrand(mid[i], zero, zero)
-    return h * total
+    return float(functional.value_fn(bundle, sec.values))
 
 
 def general_euler_lagrange(bundle, functional, sec):
-    """Euler-Lagrange field of the functional at a section.
-
-    Generic integrands are assembled by differentiating the staggered
-    quadrature: node j receives the averaged z-partial minus the
-    difference of the fiber-projected eta-flux. The result is projected
-    into the fibers.
-    """
+    """Euler-Lagrange field of the functional at a section, projected
+    into the fibers."""
     _require_validity(functional, sec.values)
-    if functional.euler_lagrange_fn is not None:
-        raw = functional.euler_lagrange_fn(bundle, sec.values)
-        return project_section(bundle, raw)
-    n, p = sec.values.shape
-    mid, vbar, pbar, eta = _staggered_data(bundle, sec.values)
-    fz = np.empty((n, p))
-    flux = np.empty((n, p))
-    for i in range(n):
-        fz[i] = np.asarray(functional.partial_z(mid[i], vbar[i], eta[i]), dtype=float)
-        fe = np.asarray(functional.partial_eta(mid[i], vbar[i], eta[i]), dtype=float)
-        flux[i] = pbar[i] @ fe
-    fz_prev = np.roll(fz, 1, axis=0)
-    flux_prev = np.roll(flux, 1, axis=0)
-    raw = 0.5 * (fz + fz_prev) - (flux - flux_prev) / bundle.mesh.spacing
-    return project_section(bundle, raw)
+    return project_section(bundle, functional.euler_lagrange_fn(bundle, sec.values))
 
 
 # -- the energy functional of a chart --------------------------------------
@@ -341,9 +327,9 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05):
 
 
 def with_quartic_penalty(bundle, functional, weight):
-    """Add a pointwise quartic |z|^4 term to a functional with exact
-    routines: value, gradient and integrand. The gradient term is node by
-    node, so the field keeps its stencil radius of 1.
+    """Add a pointwise quartic |z|^4 term to a functional: value,
+    gradient and integrand. The gradient term is node by node, so the
+    field keeps its stencil radius of 1.
 
     The penalty's Hessian vanishes at the zero section, so the kernel of
     the linearization is untouched while the reduced function picks up a
@@ -354,8 +340,6 @@ def with_quartic_penalty(bundle, functional, weight):
     w = float(weight)
     base_value = functional.value_fn
     base_el = functional.euler_lagrange_fn
-    if base_el is None:
-        raise ValueError("quartic penalty expects a functional with exact routines")
 
     def value_fn(bnd, values):
         q = np.sum(values * values, axis=1) ** 2
@@ -381,40 +365,16 @@ def with_quartic_penalty(bundle, functional, weight):
 # -- linearization ---------------------------------------------------------
 
 
-def fiber_frames(bundle):
-    """Deterministic orthonormal bases of the fibers, shape (n, p, p-1).
-
-    Greedy Gram-Schmidt on the projected coordinate axes: stable under
-    small perturbations of the base map and reproducible across runs.
-    """
-    n, p = bundle.base_map.shape
-    q = p - 1
-    frames = np.empty((n, p, q))
-    for i in range(n):
-        cols = bundle.projectors[i].copy()
-        chosen = []
-        for _ in range(q):
-            norms = np.linalg.norm(cols, axis=0)
-            j = int(np.argmax(norms))
-            if norms[j] < 1e-12:
-                raise ValueError(f"fiber at node {i} has deficient rank")
-            v = cols[:, j] / norms[j]
-            chosen.append(v)
-            cols = cols - np.outer(v, v @ cols)
-        frames[i] = np.stack(chosen, axis=1)
-    return frames
-
-
-def _to_coords(frames, values):
+def _to_coords(bundle, values):
     """Frame coordinates of nodal vectors: F^T v, node-major, p-1 per node."""
-    n, p, q = frames.shape
-    return np.einsum("npa,np->na", frames, values).reshape(n * q)
+    n, p, q = bundle.frames.shape
+    return np.einsum("npa,np->na", bundle.frames, values).reshape(n * q)
 
 
-def _from_coords(frames, coords):
+def _from_coords(bundle, coords):
     """Nodal vectors F c of frame coordinates; they lie in the fibers."""
-    n, p, q = frames.shape
-    return np.einsum("npa,na->np", frames, coords.reshape(n, q))
+    n, p, q = bundle.frames.shape
+    return np.einsum("npa,na->np", bundle.frames, coords.reshape(n, q))
 
 
 def _arc_colouring(n, separation):
@@ -432,8 +392,9 @@ def _arc_colouring(n, separation):
     return [starts[lengths > c] + c for c in range(int(lengths.max()))]
 
 
-def frame_linearization(bundle, functional, at_values=None, frames=None):
-    """Symmetrized matrix of the Euler-Lagrange linearization in fiber frames.
+def frame_linearization(bundle, functional, at_values=None):
+    """Symmetrized matrix of the Euler-Lagrange linearization in the
+    bundle's fiber frames.
 
     Columns are centered differences (step 1e-6) of the assembled field
     along the frame directions; the matrix acts on frame coordinates
@@ -451,8 +412,7 @@ def frame_linearization(bundle, functional, at_values=None, frames=None):
     q = p - 1
     if at_values is None:
         at_values = np.zeros((n, p))
-    if frames is None:
-        frames = fiber_frames(bundle)
+    frames = bundle.frames
     m = n * q
     L = np.zeros((m, m))
     step = 1e-6
@@ -475,22 +435,20 @@ def frame_linearization(bundle, functional, at_values=None, frames=None):
     return 0.5 * (L + L.T), asym
 
 
-def quadratic_remainder_check(bundle, functional, s1, s2, lin=None, frames=None):
+def quadratic_remainder_check(bundle, functional, s1, s2, lin=None):
     """Remainder of the linearization between two sections.
 
     Returns (remainder, product) with remainder the L2 norm of
     M(u1) - M(u2) - L0 (u1 - u2) and product the C^2-type bound
     (|u1|_{C2} + |u2|_{C2}) * |u1 - u2|_{W 2,2}.
     """
-    if frames is None:
-        frames = fiber_frames(bundle)
     if lin is None:
-        lin, _ = frame_linearization(bundle, functional, None, frames=frames)
+        lin, _ = frame_linearization(bundle, functional)
     mesh = bundle.mesh
     d = s1.values - s2.values
     m1 = general_euler_lagrange(bundle, functional, s1).values
     m2 = general_euler_lagrange(bundle, functional, s2).values
-    rem_field = m1 - m2 - _from_coords(frames, lin @ _to_coords(frames, d))
+    rem_field = m1 - m2 - _from_coords(bundle, lin @ _to_coords(bundle, d))
     w = mesh.quad_weights
     remainder = float(np.sqrt(np.sum(w * np.sum(rem_field**2, axis=1))))
 

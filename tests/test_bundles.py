@@ -39,6 +39,32 @@ def test_build_bundle_shapes_and_projectors():
         assert abs(np.trace(b.projectors[i]) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "target",
+    [TargetManifold.sphere(3), TargetManifold.ellipsoid((1.0, 1.0, 1.3)), TargetManifold.sphere(4)],
+    ids=["s2", "ellipsoid", "s3"],
+)
+def test_fiber_frames_orthonormal_and_vertical_first(target):
+    mesh = build_circle_mesh(32)
+    p = target.ambient_dim
+    th = mesh.node_angles
+    base = np.zeros((32, p))
+    base[:, 0] = target.semi_axes[0] * np.cos(th)
+    base[:, 1] = target.semi_axes[1] * np.sin(th)
+    b = build_pullback_bundle(mesh, target, base)
+    frames = b.frames
+    assert frames.shape == (32, p, p - 1)
+    assert not frames.flags.writeable
+    for F, P in zip(frames, b.projectors):
+        np.testing.assert_allclose(F.T @ F, np.eye(p - 1), atol=1e-12)
+        # columns reproduce the fiber projector, so they span the fiber
+        np.testing.assert_allclose(F @ F.T, P, atol=1e-12)
+    # away from the two axis nodes e3 has the largest projected norm (tied
+    # with e4 on S^3, where argmax takes the first), so the greedy sweep
+    # takes it first there
+    np.testing.assert_allclose(np.abs(frames[5][:, 0]), np.eye(p)[2], atol=1e-12)
+
+
 def test_build_bundle_rejects_off_manifold_base():
     mesh = build_circle_mesh(16)
     base = np.ones((16, 3))

@@ -63,6 +63,7 @@ def test_document_and_section_shape_checks():
         ('{"target": {"ambient_dim": 1}}', "at least 2"),
         ('{"target": {"kind": "ellipsoid"}}', "semi_axes"),
         ('{"target": {"kind": "ellipsoid", "semi_axes": [1.0, 2.0]}}', "semi_axes"),
+        ('{"target": {"kind": "sphere", "semi_axes": [1.0, 1.0, 1.3]}}', "target.semi_axes"),
         ('{"perturbation": {"amplitude": -0.1}}', "nonnegative"),
         ('{"perturbation": {"mode_count": 0}}', "at least 1"),
         ('{"flow": {"dt_factor": 0.9}}', "dt_factor"),

@@ -12,13 +12,11 @@ from loopflow.bundles import (
 from loopflow.mesh import build_circle_mesh, differentiate, integrate
 from loopflow.targets import TargetManifold
 from loopflow.variational import (
-    FunctionalSpec,
     MapState,
     _arc_colouring,
     ellipticity_check,
     energy,
     energy_functional_on_bundle,
-    fiber_frames,
     first_variation_check,
     frame_linearization,
     functional_value,
@@ -265,18 +263,20 @@ def test_quadratic_functional_vertical_spectrum():
 
 def test_general_assembly_is_exact_gradient_of_staggered_value():
     # duality: <M_F(u), v> = d/ds F(u + s v), exact for the generic path
+    # with or without the node-by-node quartic term
     b = equator_bundle(40)
-    func = mixed_cubic_functional()
-    rng = np.random.default_rng(9)
-    u = project_section(b, 0.3 * rng.standard_normal((40, 3)))
-    v = project_section(b, rng.standard_normal((40, 3)))
-    M = general_euler_lagrange(b, func, u)
-    pairing = float(np.sum(b.mesh.quad_weights * np.sum(M.values * v.values, axis=1)))
-    s = 1e-6
-    up = section(b, u.values + s * v.values)
-    um = section(b, u.values - s * v.values)
-    fd = (functional_value(b, func, up) - functional_value(b, func, um)) / (2 * s)
-    assert abs(pairing - fd) <= 1e-5 * (1.0 + l2_norm(v))
+    cubic = mixed_cubic_functional()
+    for func in (cubic, with_quartic_penalty(b, cubic, 5.0)):
+        rng = np.random.default_rng(9)
+        u = project_section(b, 0.3 * rng.standard_normal((40, 3)))
+        v = project_section(b, rng.standard_normal((40, 3)))
+        M = general_euler_lagrange(b, func, u)
+        pairing = float(np.sum(b.mesh.quad_weights * np.sum(M.values * v.values, axis=1)))
+        s = 1e-6
+        up = section(b, u.values + s * v.values)
+        um = section(b, u.values - s * v.values)
+        fd = (functional_value(b, func, up) - functional_value(b, func, um)) / (2 * s)
+        assert abs(pairing - fd) <= 1e-5 * (1.0 + l2_norm(v)), func.label
 
 
 def test_nonlinearity_witness_for_cubic_term():
@@ -288,29 +288,6 @@ def test_nonlinearity_witness_for_cubic_term():
     M1 = general_euler_lagrange(b, func, u)
     M2 = general_euler_lagrange(b, func, double)
     assert np.max(np.abs(M2.values - 2.0 * M1.values)) > 1e-3
-
-
-def test_functional_spec_needs_partials_or_exact_routines():
-    integrand = lambda th, z, eta: float(np.dot(eta, eta))
-    partial = lambda th, z, eta: np.zeros(3)
-    routine = lambda bnd, values: 0.0
-    for kinds in (
-        {},
-        {"partial_z": partial},
-        {"value_fn": routine},
-        {"partial_z": partial, "partial_eta": partial, "euler_lagrange_fn": routine},
-        {"partial_z": partial, "partial_eta": partial, "value_fn": routine, "euler_lagrange_fn": routine},
-    ):
-        with pytest.raises(ValueError, match="both partials or both exact routines"):
-            FunctionalSpec("broken", integrand, 1.0, **kinds)
-    # each builder gives exactly one kind
-    generic = quadratic_eta_functional()
-    assert generic.value_fn is None and generic.euler_lagrange_fn is None
-    b = equator_bundle(32)
-    chart = energy_functional_on_bundle(b)
-    for exact in (chart, with_quartic_penalty(b, chart, 1.0)):
-        assert exact.partial_z is None and exact.partial_eta is None
-        assert exact.value_fn is not None and exact.euler_lagrange_fn is not None
 
 
 def test_functional_value_zero_at_zero_section():
@@ -467,26 +444,9 @@ def test_quartic_penalty_validation():
     func = energy_functional_on_bundle(b)
     with pytest.raises(ValueError, match="weight"):
         with_quartic_penalty(b, func, 0.0)
-    bare = quadratic_eta_functional()
-    with pytest.raises(ValueError, match="exact routines"):
-        with_quartic_penalty(b, bare, 1.0)
 
 
 # -- linearization ----------------------------------------------------------
-
-
-def test_fiber_frames_orthonormal_and_vertical_first():
-    b = equator_bundle(32)
-    frames = fiber_frames(b)
-    assert frames.shape == (32, 3, 2)
-    for i in range(0, 32, 5):
-        F = frames[i]
-        np.testing.assert_allclose(F.T @ F, np.eye(2), atol=1e-12)
-        # columns reproduce the fiber projector, so they span the fiber
-        np.testing.assert_allclose(F @ F.T, b.projectors[i], atol=1e-12)
-    # away from the two axis nodes the vertical direction has the strictly
-    # largest projected norm, so the greedy sweep takes e3 first there
-    np.testing.assert_allclose(np.abs(frames[5][:, 0]), [0, 0, 1], atol=1e-12)
 
 
 def test_arc_colouring_is_a_minimal_separated_partition():
@@ -502,12 +462,13 @@ def test_arc_colouring_is_a_minimal_separated_partition():
                 assert gaps.min() >= sep, (n, r, g)
 
 
-def dense_frame_linearization(b, func, at_values, frames, step=1e-6):
+def dense_frame_linearization(b, func, at_values, step=1e-6):
     """Column-by-column central differences of the assembled field, with
     every row kept: the oracle for the banded probing, which reads only
     the rows within one node of each probed node."""
     n, p = b.base_map.shape
     q = p - 1
+    frames = b.frames
     L = np.zeros((n * q, n * q))
     for i in range(n):
         for a in range(q):
@@ -523,9 +484,8 @@ def dense_frame_linearization(b, func, at_values, frames, step=1e-6):
 def assert_banded_equals_dense(b, func=None, at_values=None):
     func = energy_functional_on_bundle(b) if func is None else func
     at_values = np.zeros_like(b.base_map) if at_values is None else at_values
-    frames = fiber_frames(b)
-    L_band, asym_band = frame_linearization(b, func, at_values=at_values, frames=frames)
-    L_dense, asym_dense = dense_frame_linearization(b, func, at_values, frames)
+    L_band, asym_band = frame_linearization(b, func, at_values=at_values)
+    L_dense, asym_dense = dense_frame_linearization(b, func, at_values)
     np.testing.assert_allclose(L_band, L_dense, atol=1e-8)
     assert asym_band < 1e-4
     assert asym_dense < 1e-4
@@ -573,8 +533,7 @@ def test_linearization_kernel_contains_jacobi_fields():
     n = 64
     b = equator_bundle(n)
     func = energy_functional_on_bundle(b)
-    frames = fiber_frames(b)
-    L, _ = frame_linearization(b, func, frames=frames)
+    L, _ = frame_linearization(b, func)
     th = b.mesh.node_angles
     scale = np.max(np.abs(L))
     fields = []
@@ -585,34 +544,32 @@ def test_linearization_kernel_contains_jacobi_fields():
         f[:, 2] = g
         fields.append(f)
     for f in fields:
-        coords = np.einsum("npa,np->na", frames, f).reshape(-1)
+        coords = np.einsum("npa,np->na", b.frames, f).reshape(-1)
         assert np.max(np.abs(L @ coords)) < 1e-5 * scale
 
 
 def test_quadratic_remainder_scaling():
     b = equator_bundle(32)
     func = energy_functional_on_bundle(b)
-    frames = fiber_frames(b)
-    lin, _ = frame_linearization(b, func, frames=frames)
+    lin, _ = frame_linearization(b, func)
     rng = np.random.default_rng(2)
     v = project_section(b, rng.standard_normal((32, 3)))
     v = section(b, 0.04 * v.values / np.max(np.abs(v.values)))
     z = zero_section(b)
-    r1, p1 = quadratic_remainder_check(b, func, v, z, lin=lin, frames=frames)
+    r1, p1 = quadratic_remainder_check(b, func, v, z, lin=lin)
     half = section(b, 0.5 * v.values)
-    r2, p2 = quadratic_remainder_check(b, func, half, z, lin=lin, frames=frames)
+    r2, p2 = quadratic_remainder_check(b, func, half, z, lin=lin)
     assert r1 < p1  # fitted constant below one at this scale
     drop = r1 / r2
     assert 3.0 < drop < 5.0
-    same, _ = quadratic_remainder_check(b, func, v, v, lin=lin, frames=frames)
+    same, _ = quadratic_remainder_check(b, func, v, v, lin=lin)
     assert same < 1e-12
 
 
 def test_quadratic_remainder_constant_stability():
     b = equator_bundle(32)
     func = energy_functional_on_bundle(b)
-    frames = fiber_frames(b)
-    lin, _ = frame_linearization(b, func, frames=frames)
+    lin, _ = frame_linearization(b, func)
     rng = np.random.default_rng(33)
     cs = []
     for _ in range(50):
@@ -620,7 +577,7 @@ def test_quadratic_remainder_constant_stability():
         a = section(b, 0.03 * a.values / np.max(np.abs(a.values)))
         bsec = project_section(b, rng.standard_normal((32, 3)))
         bsec = section(b, 0.03 * bsec.values / np.max(np.abs(bsec.values)))
-        rem, prod = quadratic_remainder_check(b, func, a, bsec, lin=lin, frames=frames)
+        rem, prod = quadratic_remainder_check(b, func, a, bsec, lin=lin)
         if prod > 0:
             cs.append(rem / prod)
     assert max(cs) / min(cs) < 10.0
