@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import differentiate, laplace_beltrami
+from .mesh import _differences, differentiate
 
 _FIBER_TOL = 1e-10
 _CHART_DOT_MIN = 0.1
@@ -111,16 +111,17 @@ def bundle_gradient(bundle, sec):
     return np.einsum("nij,nj->ni", bundle.projectors, dv)
 
 
+def _same_bundle(a, b):
+    """Whether a and b are one bundle, or structurally identical ones
+    (e.g. reconstructed): identity is tested first, arrays only after."""
+    return a is b or (
+        a.mesh.diff_order == b.mesh.diff_order and np.array_equal(a.base_map, b.base_map)
+    )
+
+
 def _check_same_bundle(bundle, sec):
-    if sec.bundle is not bundle:
-        # Allow structurally identical bundles (e.g. reconstructed ones).
-        same = (
-            sec.bundle.mesh.n_nodes == bundle.mesh.n_nodes
-            and sec.bundle.base_map.shape == bundle.base_map.shape
-            and np.array_equal(sec.bundle.base_map, bundle.base_map)
-        )
-        if not same:
-            raise ValueError("section belongs to a different bundle")
+    if not _same_bundle(bundle, sec.bundle):
+        raise ValueError("section belongs to a different bundle")
 
 
 def l2_inner(s1, s2):
@@ -140,8 +141,7 @@ def sobolev_norms(sec):
     mesh = sec.bundle.mesh
     w = mesh.quad_weights
     v = sec.values
-    dv = differentiate(mesh, v)
-    ddv = laplace_beltrami(mesh, v)
+    dv, ddv = _differences(mesh, v)
     l2sq = float(np.sum(w * np.sum(v * v, axis=1)))
     d1sq = float(np.sum(w * np.sum(dv * dv, axis=1)))
     d2sq = float(np.sum(w * np.sum(ddv * ddv, axis=1)))

@@ -8,7 +8,10 @@ rows at once by a safeguarded Newton iteration. Implicit differentiation
 of that formula gives the differential dPi_x, a symmetric matrix, and the
 level set G(y) = sum y^2 / a^2 - 1 gives the unit normal and the second
 fundamental form. The sphere keeps two shortcuts, x / |x| for Pi and its
-three-operation dPi, because they are cheaper on the flow's hot path. A
+three-operation dPi, because they are cheaper on the flow's hot path;
+projection computes |x| once, for the tube check and the division. The
+tension field's curvature term takes the tangent part of Du and
+contracts the shape operator with it from one unit normal per point. A
 tube radius below the reach a_min^2 / a_max bounds the neighborhood on
 which projection and chart operations are trusted; a point belongs to it
 when its exact distance |x - Pi(x)| is below the radius.
@@ -84,8 +87,10 @@ class TargetManifold:
         return self._tube_multiplier(np.asarray(x, dtype=float))[0]
 
     def _tube_multiplier(self, x):
-        """(inside, t): the tube check of in_tube, and the ellipsoid's
-        multiplier t of every row once it has been solved (else None).
+        """(inside, s): the tube check of in_tube, and the scale s of every
+        row that projection goes on to use: |x| on a sphere, and on an
+        ellipsoid the multiplier t once it has been solved (else None).
+        s has shape x.shape[:-1] + (1,).
 
         The sphere's distance ||x| - 1| is exact; it is compared without
         dividing, which also rejects x = 0 and NaN. On an ellipsoid,
@@ -98,8 +103,8 @@ class TargetManifold:
         one solve a root, and |t x / (a^2 + t)| is the exact distance.
         """
         if self.kind == "sphere":
-            r = np.sqrt((x * x).sum(-1))
-            return bool((r * np.abs(r - 1.0) < self.tube_radius * r).all()), None
+            r = np.sqrt((x * x).sum(-1, keepdims=True))
+            return bool((r * np.abs(r - 1.0) < self.tube_radius * r).all()), r
         a2 = self.semi_axes**2
         edge = self.tube_radius * self.semi_axes.max()
         g_ends = (a2 * x * x) @ ((a2 + np.array([[-edge], [edge]])) ** -2).T - 1.0
@@ -112,7 +117,7 @@ class TargetManifold:
     def unit_normal(self, y):
         """Unit normal grad G / |grad G| of the level set at each point y."""
         grad = y / self.semi_axes**2
-        return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+        return grad / np.sqrt((grad * grad).sum(-1, keepdims=True))
 
     def tangent_part(self, y, X):
         """X minus its component along the unit normal at y, rowwise."""
@@ -126,20 +131,20 @@ class TargetManifold:
         return self._nearest(x)[0]
 
     def _nearest(self, x):
-        """(y, t): project_nearest's point y and the ellipsoid multiplier t
-        of x (None on a sphere), for callers that go on to _differential."""
+        """(y, s): project_nearest's point y and the scale s of x that
+        _tube_multiplier returns, for callers that go on to _differential."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.ambient_dim:
             raise ValueError(
                 f"point has dimension {x.shape[-1]}, target lives in R^{self.ambient_dim}"
             )
-        inside, t = self._tube_multiplier(x)
+        inside, s = self._tube_multiplier(x)
         if not inside:
             raise ValueError("point outside the tube neighborhood of the target")
         if self.kind == "sphere":
-            return x / np.sqrt((x * x).sum(-1, keepdims=True)), None
+            return x / s, s
         a2 = self.semi_axes**2
-        return a2 * x / (a2 + t), t
+        return a2 * x / (a2 + s), s
 
     def _multiplier(self, x):
         """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).
@@ -182,26 +187,27 @@ class TargetManifold:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        inside, t = self._tube_multiplier(x)
+        inside, s = self._tube_multiplier(x)
         if not inside:
             raise ValueError("base point outside the tube neighborhood")
-        return self._differential(x, v, t)
+        return self._differential(x, v, s)
 
-    def _differential(self, x, v, t=None):
+    def _differential(self, x, v, s=None):
         """differential_of_projection without the tube check, for callers
-        that have just projected x; t is the ellipsoid multiplier of x when
-        the caller already has it."""
+        that have just projected x; s is the scale of x from
+        _tube_multiplier (|x| on a sphere, t on an ellipsoid) when the
+        caller already has it."""
         if self.kind == "sphere":
-            r = np.sqrt((x * x).sum(-1, keepdims=True))
+            r = np.sqrt((x * x).sum(-1, keepdims=True)) if s is None else s
             xn = x / r
             return (v - (v * xn).sum(-1, keepdims=True) * xn) / r
         # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
         # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
         a2 = self.semi_axes**2
-        s = a2 + (self._multiplier(x) if t is None else t)
-        w = a2 * x / (s * s)
-        dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / s, axis=-1, keepdims=True)
-        return a2 * v / s - dt * w
+        d = a2 + (self._multiplier(x) if s is None else s)
+        w = a2 * x / (d * d)
+        dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / d, axis=-1, keepdims=True)
+        return a2 * v / d - dt * w
 
     # -- tangent projector and curvature -----------------------------------
 
@@ -230,7 +236,7 @@ def _shape_form(target, y, X, Y):
     """Level-set second fundamental form A_y(X, Y), rowwise."""
     a2 = target.semi_axes**2
     grad = 2.0 * y / a2
-    gn = np.linalg.norm(grad, axis=-1, keepdims=True)
+    gn = np.sqrt((grad * grad).sum(-1, keepdims=True))
     nhat = grad / gn
     HY = 2.0 * Y / a2
     coeff = np.sum(X * HY, axis=-1, keepdims=True) / gn
@@ -241,3 +247,21 @@ def curvature_contraction(target, y, X):
     """A_y(X, X) over stacked rows; the tension field's curvature term."""
     X = np.asarray(X, dtype=float)
     return _shape_form(target, np.asarray(y, dtype=float), X, X)
+
+
+def _tangent_curvature(target, y, X):
+    """A_y(X_t, X_t) over stacked rows, X_t the tangent part of X at y,
+    from one unit normal per row: the tension field's curvature term.
+
+    Bit for bit curvature_contraction(target, y, target.tangent_part(y, X)):
+    _shape_form's gradient 2 y / a^2 is exactly twice the normal's y / a^2
+    and its norm exactly twice that norm, so both normals are the same
+    floats and its coefficient is the one computed here.
+    """
+    a2 = target.semi_axes**2
+    grad = y / a2
+    gn = np.sqrt((grad * grad).sum(-1, keepdims=True))
+    n = grad / gn
+    Xt = X - (X * n).sum(-1, keepdims=True) * n
+    coeff = (Xt * (2.0 * Xt / a2)).sum(-1, keepdims=True) / (2.0 * gn)
+    return -coeff * n

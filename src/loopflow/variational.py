@@ -28,15 +28,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bundles import project_section, section, sobolev_norms
+from .bundles import _check_same_bundle, _same_bundle, project_section, section, sobolev_norms
 from .mesh import (
+    _differences,
+    _neighbour_index,
     build_circle_mesh,
     differentiate,
     forward_difference,
     integrate,
     laplace_beltrami,
 )
-from .targets import curvature_contraction
+from .targets import _tangent_curvature
 
 __all__ = [
     "MapState",
@@ -92,16 +94,19 @@ def energy(state):
 def tension_field(state):
     """Pointwise Delta u - A_u(Du, Du); tangent at u up to O(h^2).
 
+    Du is the tangent part of the centered first difference, and the
+    curvature term contracts the shape operator with it. One gather of
+    u's neighbours feeds both stencils, and one unit normal per node
+    serves both the tangent part and the curvature term; the result is
+    bit for bit laplace_beltrami(u) - curvature_contraction(target, u,
+    target.tangent_part(u, differentiate(u))).
+
     The raw field keeps its O(h^2) normal residue so that convergence
     studies can measure it; take tangential_tension for the constrained
     gradient direction that actually drives the flow.
     """
-    mesh, target, u = state.mesh, state.target, state.values
-    lap = laplace_beltrami(mesh, u)
-    du = differentiate(mesh, u)
-    du_t = target.tangent_part(u, du)
-    A = curvature_contraction(target, u, du_t)
-    return lap - A
+    du, lap = _differences(state.mesh, state.values)
+    return lap - _tangent_curvature(state.target, state.values, du)
 
 
 def tangential_tension(state):
@@ -195,8 +200,9 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
             fz[i] = np.asarray(partial_z(mid[i], vbar[i], eta[i]), dtype=float)
             fe = np.asarray(partial_eta(mid[i], vbar[i], eta[i]), dtype=float)
             flux[i] = pbar[i] @ fe
-        fz_prev = np.roll(fz, 1, axis=0)
-        flux_prev = np.roll(flux, 1, axis=0)
+        prev = _neighbour_index(n, 1)[1]
+        fz_prev = fz.take(prev, axis=0)
+        flux_prev = flux.take(prev, axis=0)
         return 0.5 * (fz + fz_prev) - (flux - flux_prev) / bundle.mesh.spacing
 
     return FunctionalSpec(label, integrand, float(validity_radius), value_fn, el_fn)
@@ -241,9 +247,11 @@ def _require_validity(functional, values):
 def _staggered_data(bundle, values):
     mesh = bundle.mesh
     h = mesh.spacing
-    vbar = 0.5 * (values + np.roll(values, -1, axis=0))
-    pbar = 0.5 * (bundle.projectors + np.roll(bundle.projectors, -1, axis=0))
-    dplus = (np.roll(values, -1, axis=0) - values) / h
+    nxt = _neighbour_index(mesh.n_nodes, 1)[0]
+    vnext = values.take(nxt, axis=0)
+    vbar = 0.5 * (values + vnext)
+    pbar = 0.5 * (bundle.projectors + bundle.projectors.take(nxt, axis=0))
+    dplus = (vnext - values) / h
     eta = np.einsum("nij,nj->ni", pbar, dplus)
     mid_thetas = mesh.node_angles + 0.5 * h
     return mid_thetas, vbar, pbar, eta
@@ -251,6 +259,7 @@ def _staggered_data(bundle, values):
 
 def functional_value(bundle, functional, sec):
     """Value of the functional at a section, normalized so F(0) = 0."""
+    _check_same_bundle(bundle, sec)
     _require_validity(functional, sec.values)
     return float(functional.value_fn(bundle, sec.values))
 
@@ -258,6 +267,7 @@ def functional_value(bundle, functional, sec):
 def general_euler_lagrange(bundle, functional, sec):
     """Euler-Lagrange field of the functional at a section, projected
     into the fibers."""
+    _check_same_bundle(bundle, sec)
     _require_validity(functional, sec.values)
     return project_section(bundle, functional.euler_lagrange_fn(bundle, sec.values))
 
@@ -274,7 +284,9 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05):
     second-order part is the compact three-point Laplacian regardless of
     the mesh's differentiation order, which keeps the spectrum of the
     linearization monotone in frequency and leaves loops that are exact
-    discrete critical points exactly critical here as well.
+    discrete critical points exactly critical here as well. Both routines
+    raise ValueError when called with a bundle other than this one, whose
+    energy the value subtracts.
     """
     mesh, target = bundle.mesh, bundle.target
     base = bundle.base_map
@@ -287,16 +299,23 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05):
             f"base map is not near-harmonic: tangential tension norm {resid:.3e}"
         )
 
+    def require_own(bnd):
+        if not _same_bundle(bundle, bnd):
+            raise ValueError("chart energy called with a bundle other than the one it was built on")
+
     def value_fn(bnd, values):
+        require_own(bnd)
         points = bnd.target.project_nearest(bnd.base_map + values)
         return _ambient_energy(bnd.mesh, points) - e0
 
     def el_fn(bnd, values):
+        require_own(bnd)
         x = bnd.base_map + values
-        points, t = bnd.target._nearest(x)
+        points, scale = bnd.target._nearest(x)
         # dPi is symmetric, so it is its own transpose; _nearest has just
-        # checked that x lies in the tube and solved its multiplier.
-        return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), t)
+        # checked that x lies in the tube and found its scale (|x| or the
+        # ellipsoid multiplier).
+        return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), scale)
 
     gbase = differentiate(mesh, base)
     kmats = differentiate(mesh, bundle.projectors)
@@ -326,7 +345,7 @@ def energy_functional_on_bundle(bundle, harmonic_tol=0.05):
     )
 
 
-def with_quartic_penalty(bundle, functional, weight):
+def with_quartic_penalty(functional, weight):
     """Add a pointwise quartic |z|^4 term to a functional: value,
     gradient and integrand. The gradient term is node by node, so the
     field keeps its stencil radius of 1.
@@ -453,9 +472,10 @@ def quadratic_remainder_check(bundle, functional, s1, s2, lin=None):
     remainder = float(np.sqrt(np.sum(w * np.sum(rem_field**2, axis=1))))
 
     def c2_sup(values):
+        d1, d2 = _differences(mesh, values)
         a = np.linalg.norm(values, axis=1)
-        b = np.linalg.norm(differentiate(mesh, values), axis=1)
-        c = np.linalg.norm(laplace_beltrami(mesh, values), axis=1)
+        b = np.linalg.norm(d1, axis=1)
+        c = np.linalg.norm(d2, axis=1)
         return float(np.max(a + b + c))
 
     diff = section(bundle, d)

@@ -95,7 +95,7 @@ def ws128():
 def quartic64():
     bundle = equator_bundle(64)
     functional = energy_functional_on_bundle(bundle)
-    return build_reduction_workspace(bundle, with_quartic_penalty(bundle, functional, 5.0))
+    return build_reduction_workspace(bundle, with_quartic_penalty(functional, 5.0))
 
 
 @pytest.fixture(scope="module")

@@ -145,3 +145,33 @@ def test_stencils_commute_with_rotation():
         np.testing.assert_allclose(
             op(mesh, np.roll(f, 5)), np.roll(op(mesh, f), 5), atol=1e-12
         )
+
+
+def rolled_stencils(mesh, f):
+    """differentiate, laplace_beltrami and forward_difference written with
+    np.roll, term for term as the circulant stencils were first written."""
+    h = mesh.spacing
+    fp = np.roll(f, -1, axis=0)
+    fm = np.roll(f, 1, axis=0)
+    forward = (fp - f) / h
+    if mesh.diff_order == 2:
+        return (fp - fm) / (2.0 * h), (fp - 2.0 * f + fm) / (h * h), forward
+    fpp = np.roll(f, -2, axis=0)
+    fmm = np.roll(f, 2, axis=0)
+    first = (-fpp + 8.0 * fp - 8.0 * fm + fmm) / (12.0 * h)
+    second = (-fpp + 16.0 * fp - 30.0 * f + 16.0 * fm - fmm) / (12.0 * h * h)
+    return first, second, forward
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [8, 9, 24, 33])
+def test_gathered_stencils_equal_rolled_stencils(order, n):
+    mesh = build_circle_mesh(n, diff_order=order)
+    rng = np.random.default_rng(100 * n + order)
+    # scalars, map values and the (n, 3, 3) shape of bundle projectors
+    for shape in ((n,), (n, 3), (n, 3, 3)):
+        f = rng.standard_normal(shape)
+        first, second, forward = rolled_stencils(mesh, f)
+        assert np.array_equal(differentiate(mesh, f), first)
+        assert np.array_equal(laplace_beltrami(mesh, f), second)
+        assert np.array_equal(forward_difference(mesh, f), forward)

@@ -49,7 +49,7 @@ def energy_ws():
 def quartic_ws():
     b = equator_bundle(64)
     func = energy_functional_on_bundle(b)
-    return build_reduction_workspace(b, with_quartic_penalty(b, func, 5.0))
+    return build_reduction_workspace(b, with_quartic_penalty(func, 5.0))
 
 
 @pytest.fixture(scope="module")

@@ -277,3 +277,28 @@ def test_ellipsoid_tube_check_is_the_exact_distance():
         assert not e.in_tube(np.array(x))
         with pytest.raises(ValueError, match="tube"):
             e.project_nearest(np.array(x))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sphere_projection_divides_by_the_checked_radius(dim):
+    # the radius of the tube check is the divisor: the same bits as dividing
+    # by a freshly computed norm, for stacks and single points alike
+    s = TargetManifold.sphere(dim)
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((50, dim))
+    x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.55, 1.45, (50, 1))
+    want = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    assert np.array_equal(s.project_nearest(x), want)
+    assert np.array_equal(s.project_nearest(x[3]), want[3])
+    v = rng.standard_normal((50, dim))
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    dpi = (v - np.sum(v * want, axis=-1, keepdims=True) * want) / r
+    assert np.array_equal(s.differential_of_projection(x, v), dpi)
+    # the centre, NaN and points outside the tube still fail by name
+    e0 = np.eye(dim)[0]
+    for bad in (0.0 * e0, np.full(dim, np.nan), 1.6 * e0, 0.4 * e0):
+        assert not s.in_tube(bad)
+        with pytest.raises(ValueError, match="tube"):
+            s.project_nearest(bad)
+        with pytest.raises(ValueError, match="tube"):
+            s.project_nearest(np.vstack([x[:4], bad]))

@@ -10,7 +10,7 @@ from loopflow.bundles import (
     zero_section,
 )
 from loopflow.mesh import build_circle_mesh, differentiate, integrate
-from loopflow.targets import TargetManifold
+from loopflow.targets import TargetManifold, curvature_contraction
 from loopflow.variational import (
     MapState,
     _arc_colouring,
@@ -28,6 +28,7 @@ from loopflow.variational import (
     tension_field,
     with_quartic_penalty,
 )
+from test_mesh import rolled_stencils
 
 
 def great_circle(n, k=1, target=None):
@@ -150,6 +151,37 @@ def test_tension_on_ellipsoid_small_for_gentle_loop():
     assert np.sqrt(integrate(st.mesh, np.sum(Mt * Mt, axis=1))) < 1e-2
 
 
+@pytest.mark.parametrize(
+    "target, order",
+    [
+        (TargetManifold.sphere(3), 2),
+        (TargetManifold.sphere(3), 4),
+        (TargetManifold.sphere(4), 2),
+        (TargetManifold.sphere(4), 4),
+        (TargetManifold.ellipsoid((1.0, 1.0, 1.3)), 2),
+        (TargetManifold.ellipsoid((1.0, 1.0, 1.3)), 4),
+    ],
+    ids=["s2-order2", "s2-order4", "s3-order2", "s3-order4", "ellipsoid-order2", "ellipsoid-order4"],
+)
+def test_tension_field_equals_the_two_pass_assembly(target, order):
+    # one gather and one normal give the same bits as the stencils written
+    # with np.roll, the tangent part and the curvature contraction in turn
+    rng = np.random.default_rng(31 * order + target.ambient_dim)
+    p = target.ambient_dim
+    for n in (24, 33):
+        mesh = build_circle_mesh(n, diff_order=order)
+        y = rng.standard_normal((n, p))
+        y = y / np.linalg.norm(y / target.semi_axes, axis=1, keepdims=True)
+        offset = rng.standard_normal((n, p))
+        offset *= rng.uniform(0.0, 0.9 * target.tube_radius, (n, 1)) / np.linalg.norm(
+            offset, axis=1, keepdims=True
+        )
+        u = target.project_nearest(y + offset)
+        du, lap, _ = rolled_stencils(mesh, u)
+        want = lap - curvature_contraction(target, u, target.tangent_part(u, du))
+        assert np.array_equal(tension_field(map_state(mesh, target, u)), want)
+
+
 # -- first variation --------------------------------------------------------
 
 
@@ -266,7 +298,7 @@ def test_general_assembly_is_exact_gradient_of_staggered_value():
     # with or without the node-by-node quartic term
     b = equator_bundle(40)
     cubic = mixed_cubic_functional()
-    for func in (cubic, with_quartic_penalty(b, cubic, 5.0)):
+    for func in (cubic, with_quartic_penalty(cubic, 5.0)):
         rng = np.random.default_rng(9)
         u = project_section(b, 0.3 * rng.standard_normal((40, 3)))
         v = project_section(b, rng.standard_normal((40, 3)))
@@ -380,6 +412,31 @@ def test_chart_energy_rejects_far_from_harmonic_base():
         energy_functional_on_bundle(b)
 
 
+def test_chart_energy_rejects_another_bundle():
+    # the chart energy of the n = 32 equator subtracts the equator's energy;
+    # evaluated on the latitude-0.6 circle's bundle it used to return
+    # -2.233 at the zero section, where the normalization promises 0
+    b = equator_bundle(32)
+    func = energy_functional_on_bundle(b)
+    th = b.mesh.node_angles
+    latitude = np.stack([0.8 * np.cos(th), 0.8 * np.sin(th), np.full_like(th, 0.6)], axis=1)
+    other = build_pullback_bundle(b.mesh, b.target, latitude)
+    zero = zero_section(other)
+    for spec in (func, with_quartic_penalty(func, 5.0)):
+        with pytest.raises(ValueError, match="bundle other than the one it was built on"):
+            functional_value(other, spec, zero)
+        with pytest.raises(ValueError, match="bundle other than the one it was built on"):
+            general_euler_lagrange(other, spec, zero)
+        # a section of one bundle passed with another
+        with pytest.raises(ValueError, match="different bundle"):
+            functional_value(b, spec, zero)
+        with pytest.raises(ValueError, match="different bundle"):
+            general_euler_lagrange(b, spec, zero)
+    # a rebuilt copy of the bundle it was built on is the same bundle
+    again = build_pullback_bundle(b.mesh, b.target, b.base_map)
+    assert functional_value(again, func, zero_section(again)) == 0.0
+
+
 def test_ellipsoid_euler_lagrange_solves_the_multiplier_once(monkeypatch):
     t = TargetManifold.ellipsoid((1.0, 1.0, 1.3))
     st = great_circle(32, target=t)
@@ -424,7 +481,7 @@ def test_cross_check_against_tension_norms():
 def test_quartic_penalty_value_and_gradient():
     b = equator_bundle(48)
     func = energy_functional_on_bundle(b)
-    quart = with_quartic_penalty(b, func, 5.0)
+    quart = with_quartic_penalty(func, 5.0)
     rng = np.random.default_rng(4)
     sec = project_section(b, 0.05 * rng.standard_normal((48, 3)))
     extra = functional_value(b, quart, sec) - functional_value(b, func, sec)
@@ -443,7 +500,7 @@ def test_quartic_penalty_validation():
     b = equator_bundle(32)
     func = energy_functional_on_bundle(b)
     with pytest.raises(ValueError, match="weight"):
-        with_quartic_penalty(b, func, 0.0)
+        with_quartic_penalty(func, 0.0)
 
 
 # -- linearization ----------------------------------------------------------
@@ -524,7 +581,7 @@ def test_frame_linearization_equals_dense_away_from_the_zero_section(kind):
     if kind == "mixed_cubic":
         func, amplitude = mixed_cubic_functional(), 0.2
     else:
-        func, amplitude = with_quartic_penalty(b, energy_functional_on_bundle(b), 5.0), 0.05
+        func, amplitude = with_quartic_penalty(energy_functional_on_bundle(b), 5.0), 0.05
     at_values = project_section(b, amplitude * rng.standard_normal((n, 3))).values
     assert_banded_equals_dense(b, func, at_values)
 
