@@ -113,9 +113,13 @@ def bundle_gradient(bundle, sec):
 
 def _same_bundle(a, b):
     """Whether a and b are one bundle, or structurally identical ones
-    (e.g. reconstructed): identity is tested first, arrays only after."""
+    (e.g. reconstructed) over the same target: identity is tested first,
+    arrays only after."""
+    ta, tb = a.target, b.target
     return a is b or (
-        a.mesh.diff_order == b.mesh.diff_order and np.array_equal(a.base_map, b.base_map)
+        (a.mesh.diff_order, ta.kind, ta.tube_radius) == (b.mesh.diff_order, tb.kind, tb.tube_radius)
+        and np.array_equal(ta.semi_axes, tb.semi_axes)
+        and np.array_equal(a.base_map, b.base_map)
     )
 
 

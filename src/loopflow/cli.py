@@ -26,7 +26,7 @@ from .bundles import (
     section,
 )
 from .config import RNG_NAME, VERSION, parse_config_file, resolved_dict
-from .flow import FlowConfig, fit_convergence_rate, run_flow
+from .flow import fit_convergence_rate, run_flow
 from .lojasiewicz import (
     estimate_gradient_exponent,
     finite_dim_distance_exponent,
@@ -114,8 +114,7 @@ def make_initial_map(config, seed=None):
             f"perturbation amplitude {pert.amplitude} must stay below the "
             f"tube radius {target.tube_radius}"
         )
-    use_seed = pert.seed if seed is None else seed
-    rng = np.random.default_rng(use_seed)
+    rng = np.random.default_rng(pert.seed if seed is None else seed)
     theta = mesh.node_angles
     field = np.zeros_like(base)
     for m in range(1, pert.mode_count + 1):
@@ -197,22 +196,10 @@ def _run_energy_eval(config, outdir, seed):
     )
 
 
-def _flow_config(config, seed):
-    f = config.flow
-    use_seed = config.perturbation.seed if seed is None else seed
-    return FlowConfig(
-        dt_factor=f.dt_factor,
-        t_max=f.t_max,
-        stop_grad_tol=f.stop_grad_tol,
-        integrator=f.integrator,
-        seed=use_seed,
-    )
-
-
 def _run_flow(config, outdir, seed):
     state = make_initial_map(config, seed)
     stride = config.output.stride
-    trace = run_flow(state, _flow_config(config, seed), distance_stride=stride)
+    trace = run_flow(state, config.flow, distance_stride=stride)
     n = len(trace.times)
     indices = list(range(0, n, stride))
     if indices[-1] != n - 1:
@@ -226,7 +213,7 @@ def _run_flow(config, outdir, seed):
         fit = fit_convergence_rate(trace)
     except ValueError as exc:
         fit = {"error": str(exc)}
-    fit["flow"] = trace.config_echo
+    fit["flow"] = {**trace.config_echo, "seed": seed}
     _write_json(outdir, "rate_fit.json", fit)
     summary = trace.config_echo
     print(
@@ -254,7 +241,7 @@ def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
     """Energy gap against Euler-Lagrange norm for kernel-orthogonal sections."""
     workspace = _reduction_workspace(config)
     bundle, functional = workspace.bundle, workspace.functional
-    rng = np.random.default_rng(config.perturbation.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     gaps, grads = [], []
     for amp in amplitudes:
         sec = _random_fiber_field(bundle, rng)
@@ -295,7 +282,7 @@ def _run_loj_estimate(config, outdir, seed):
     # The two draw from independent generators, so the order is free.
     pert_gaps, pert_grads = _perturbation_pairs(config, seed)
     state = make_initial_map(config, seed)
-    trace = run_flow(state, _flow_config(config, seed), distance_stride=None)
+    trace = run_flow(state, config.flow, distance_stride=None)
     e_inf = float(trace.energies[-1])
     traj_gaps, traj_grads = trajectory_pairs(trace)
     rows = [(g, d, "flow") for g, d in zip(traj_gaps, traj_grads)]
@@ -329,8 +316,8 @@ def _run_loj_estimate(config, outdir, seed):
 
 def _run_reduce(config, outdir, seed):
     workspace = _reduction_workspace(config)
-    use_seed = config.perturbation.seed if seed is None else seed
     loj = config.lojasiewicz
+    sweep = sandwich_sweep(workspace, tuple(loj.radii), loj.samples_per_radius, seed)
     report = {
         "kernel_dimension": workspace.kernel_dim,
         "kernel_eigenvalues": workspace.kernel_eigenvalues,
@@ -338,20 +325,10 @@ def _run_reduce(config, outdir, seed):
         "threshold": workspace.threshold,
         "discarded_min": workspace.discarded_min,
         "gap_ratio": workspace.gap_ratio,
-        "sandwich": sandwich_sweep(
-            workspace,
-            radii=tuple(loj.radii),
-            samples_per_radius=loj.samples_per_radius,
-            seed=use_seed,
-        ),
-        "approximation": approximation_sweep(workspace, seed=use_seed),
-        "lipschitz": lipschitz_probe(workspace, seed=use_seed),
-        "integrability": integrability_probe(
-            workspace,
-            radii=tuple(loj.radii),
-            samples_per_radius=loj.samples_per_radius,
-            seed=use_seed,
-        ),
+        "sandwich": sweep,
+        "approximation": approximation_sweep(workspace, seed=seed),
+        "lipschitz": lipschitz_probe(workspace, seed=seed),
+        "integrability": integrability_probe(sweep),
     }
     _write_json(outdir, "reduction_report.json", report)
     print(
@@ -361,7 +338,6 @@ def _run_reduce(config, outdir, seed):
 
 
 def _run_finite_verify(config, outdir, seed):
-    use_seed = config.perturbation.seed if seed is None else seed
     rows = []
     for entry in config.finite_verify.polynomials:
         label = entry.get("label", "?")
@@ -369,7 +345,7 @@ def _run_finite_verify(config, outdir, seed):
         check = entry["check"]
         if check == "gradient":
             fit = finite_dim_gradient_exponent(
-                f, np.zeros(f.n_vars), entry["radii"], seed=use_seed
+                f, np.zeros(f.n_vars), entry["radii"], seed=seed
             )
             rows.append(
                 {
@@ -445,7 +421,8 @@ def main(argv=None):
             "seed_override": args.seed,
         }
         _write_json(outdir, "config_echo.json", echo)
-        _DISPATCH[args.command](config, outdir, args.seed)
+        seed = config.perturbation.seed if args.seed is None else args.seed
+        _DISPATCH[args.command](config, outdir, seed)
     except Exception as exc:
         record = {
             "error": str(exc),

@@ -2,13 +2,16 @@
 
 Configs are plain JSON with one section per concern. Unknown keys are
 rejected by full path ("domain.mesh_size") so typos cannot silently fall
-back to defaults. The resolved configuration is echoed next to every
-output so a run can be reproduced from its artifacts alone.
+back to defaults. The flow section is flow.FlowConfig itself, which
+checks its own values. The resolved configuration is echoed next to
+every output so a run can be reproduced from its artifacts alone.
 """
 
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+from .flow import FlowConfig
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "resolved_dict", "VERSION", "RNG_NAME"]
 
@@ -40,14 +43,6 @@ class PerturbationSection:
     seed: int = 0
     amplitude: float = 0.05
     mode_count: int = 3
-
-
-@dataclass(frozen=True)
-class FlowSection:
-    dt_factor: float = 0.2
-    t_max: float = 50.0
-    stop_grad_tol: float = 1e-8
-    integrator: str = "projected_rk4"
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class RunConfig:
     target: TargetSection = field(default_factory=TargetSection)
     base_map: BaseMapSection = field(default_factory=BaseMapSection)
     perturbation: PerturbationSection = field(default_factory=PerturbationSection)
-    flow: FlowSection = field(default_factory=FlowSection)
+    flow: FlowConfig = field(default_factory=FlowConfig)
     reduction: ReductionSection = field(default_factory=ReductionSection)
     lojasiewicz: LojasiewiczSection = field(default_factory=LojasiewiczSection)
     output: OutputSection = field(default_factory=OutputSection)
@@ -107,7 +102,7 @@ _SECTIONS = {
     "target": TargetSection,
     "base_map": BaseMapSection,
     "perturbation": PerturbationSection,
-    "flow": FlowSection,
+    "flow": FlowConfig,
     "reduction": ReductionSection,
     "lojasiewicz": LojasiewiczSection,
     "output": OutputSection,
@@ -122,7 +117,10 @@ def _build_section(name, cls, data):
     for key in data:
         if key not in allowed:
             raise ValueError(f"unknown key '{name}.{key}'")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:  # FlowConfig checks its own fields
+        raise ValueError(f"{name}.{exc}") from exc
 
 
 def _validate(config):
@@ -135,10 +133,6 @@ def _validate(config):
          "base_map.degree must be a positive integer"),
         (config.perturbation.amplitude >= 0.0, "perturbation.amplitude must be nonnegative"),
         (config.perturbation.mode_count >= 1, "perturbation.mode_count must be at least 1"),
-        (0.0 < config.flow.dt_factor <= 0.5, "flow.dt_factor must lie in (0, 0.5]"),
-        (config.flow.t_max > 0.0, "flow.t_max must be positive"),
-        (config.flow.integrator in ("projected_euler", "projected_rk4"),
-         "flow.integrator must be projected_euler or projected_rk4"),
         (config.reduction.kernel_tol > 0.0, "reduction.kernel_tol must be positive"),
         (config.reduction.newton_tol > 0.0, "reduction.newton_tol must be positive"),
         (config.reduction.newton_max_iter >= 1, "reduction.newton_max_iter must be at least 1"),

@@ -50,7 +50,6 @@ class FlowConfig:
     t_max: float = 50.0
     stop_grad_tol: float = 1e-8
     integrator: str = "projected_rk4"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.dt_factor <= 0.5:
@@ -167,7 +166,6 @@ def run_flow(initial, config, distance_stride=1):
         "t_max": config.t_max,
         "stop_grad_tol": config.stop_grad_tol,
         "integrator": config.integrator,
-        "seed": config.seed,
         "n_steps": len(times) - 1,
         "stopped_on_tolerance": bool(grads[-1] < config.stop_grad_tol),
     }

@@ -8,6 +8,9 @@ dimensional polynomial fits instead use the lower envelope of the
 scatter: the inequality |f|^theta <= C |grad f| binds along the worst
 direction (think x^2 + y^4 near 0, where the y-axis forces theta = 3/4),
 and a plain regression over all directions would average it away.
+The integrability verdict solves nothing: it reads |f(xi)| from a
+reduction.sandwich_sweep, so it shares its kernel samples with the
+sandwich ratios.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import _ols
-from .reduction import reduced_function
 
 __all__ = [
     "ExponentFit",
@@ -267,45 +269,34 @@ def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8, refine=4):
     return alpha, constant
 
 
-def integrability_probe(workspace, radii, samples_per_radius=20, tolerance=1e-4, seed=0):
+def integrability_probe(sweep, tolerance=1e-4):
     """Check whether the reduced function vanishes identically near 0.
 
-    Samples |f(xi)| on kernel spheres; the verdict is integrable when
-    the maximum at every radius r stays below tolerance * r^2, the decay
-    a genuinely flat reduced function shows but an isolated-degenerate
-    one (quartic well) cannot.
+    Reads |f(xi)| on kernel spheres from the records of a
+    reduction.sandwich_sweep; the verdict is integrable when the maximum
+    at every radius r stays below tolerance * r^2, the decay a genuinely
+    flat reduced function shows but an isolated-degenerate one (quartic
+    well) cannot. Samples whose Newton solve failed count as
+    newton_failures and are left out of the maximum.
     """
-    rng = np.random.default_rng(seed)
-    l = workspace.kernel_dim
+    spr = sweep["samples_per_radius"]
     per_radius = []
-    for r in radii:
-        max_abs = 0.0
-        failures = 0
-        for _ in range(samples_per_radius):
-            direction = rng.standard_normal(l)
-            norm = np.linalg.norm(direction)
-            if norm < 1e-12:
-                continue
-            xi = (r / norm) * direction if r > 0 else np.zeros(l)
-            try:
-                val = abs(reduced_function(workspace, xi))
-            except RuntimeError:
-                failures += 1
-                continue
-            max_abs = max(max_abs, val)
+    for i, r in enumerate(sweep["radii"]):
+        values = [rec["abs_f"] for rec in sweep["records"][i * spr : (i + 1) * spr]]
+        max_abs = max([0.0, *(v for v in values if v is not None)])
+        bound = tolerance * float(r) ** 2
         per_radius.append(
             {
                 "radius": float(r),
                 "max_abs_f": max_abs,
-                "bound": tolerance * float(r) ** 2,
-                "newton_failures": failures,
-                "integrable": bool(max_abs <= tolerance * float(r) ** 2),
+                "bound": bound,
+                "newton_failures": values.count(None),
+                "integrable": bool(max_abs <= bound),
             }
         )
-    verdict = all(rec["integrable"] for rec in per_radius)
     return {
         "tolerance": float(tolerance),
-        "samples_per_radius": int(samples_per_radius),
+        "samples_per_radius": int(spr),
         "per_radius": per_radius,
-        "integrable": verdict,
+        "integrable": all(rec["integrable"] for rec in per_radius),
     }

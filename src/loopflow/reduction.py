@@ -17,8 +17,11 @@ rank-l matrix h K K^T. N is defined once, on frame coordinates. Newton
 is a chord iteration on the workspace's own matrix P_K + L(0), and a
 Jacobian is assembled only when a chord step stops halving the residual.
 The reduced gradient is exact: one assembly and one linear solve.
+sandwich_sweep reads both the sandwich ratio and |f(xi)| off one Newton
+solve per kernel sample; lojasiewicz.integrability_probe reads its records.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,7 +337,11 @@ def sandwich_check(workspace, xi, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND)
     floor: near an integrable critical manifold both vanish and the
     ratio is meaningless.
     """
-    u = reduced_section(workspace, xi)
+    return _sandwich_at(workspace, reduced_section(workspace, xi), noise_floor, band)
+
+
+def _sandwich_at(workspace, u, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND):
+    """sandwich_check at u = Psi(xi.phi), already solved."""
     mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
     m_norm = l2_norm(mf)
     g_norm = float(np.linalg.norm(_gradient_at(workspace, u, mf)))
@@ -454,39 +461,35 @@ def approximation_sweep(
 
 
 def sandwich_sweep(workspace, radii=(0.005, 0.01, 0.02), samples_per_radius=20, seed=0):
-    """Band membership of the sandwich ratio over seeded kernel samples."""
+    """Band membership of the sandwich ratio over seeded kernel samples;
+    each record also holds abs_f = |F(Psi(xi.phi))| from the same Newton
+    solve. A sample that raises RuntimeError is a newton_failure, abs_f None."""
     rng = np.random.default_rng(seed)
-    l = workspace.kernel_dim
+    bundle, functional, l = workspace.bundle, workspace.functional, workspace.kernel_dim
     records = []
     for r in radii:
         for _ in range(samples_per_radius):
             direction = rng.standard_normal(l)
             direction /= np.linalg.norm(direction)
             xi = r * direction
+            rec = {"radius": float(r), "ratio": None, "status": "newton_failure", "abs_f": None}
+            records.append(rec)
             try:
-                ratio, status = sandwich_check(workspace, xi)
+                u = reduced_section(workspace, xi)
+                ratio, status = _sandwich_at(workspace, u)
+                abs_f = abs(functional_value(bundle, functional, u))
             except RuntimeError:
-                records.append({"radius": float(r), "ratio": None, "status": "newton_failure"})
                 continue
-            records.append(
-                {
-                    "radius": float(r),
-                    "ratio": None if np.isnan(ratio) else float(ratio),
-                    "status": status,
-                }
-            )
-    n_pass = sum(1 for rec in records if rec["status"] == "pass")
-    n_fail = sum(1 for rec in records if rec["status"] == "fail")
-    n_indet = sum(1 for rec in records if rec["status"] == "indeterminate")
-    n_newton = sum(1 for rec in records if rec["status"] == "newton_failure")
-    determinate = n_pass + n_fail
+            rec.update(status=status, abs_f=abs_f, ratio=None if np.isnan(ratio) else float(ratio))
+    count = Counter(rec["status"] for rec in records)
+    determinate = count["pass"] + count["fail"]
     return {
         "radii": [float(r) for r in radii],
         "samples_per_radius": int(samples_per_radius),
-        "n_pass": n_pass,
-        "n_fail": n_fail,
-        "n_indeterminate": n_indet,
-        "n_newton_failure": n_newton,
-        "determinate_pass_rate": (n_pass / determinate) if determinate else None,
+        "n_pass": count["pass"],
+        "n_fail": count["fail"],
+        "n_indeterminate": count["indeterminate"],
+        "n_newton_failure": count["newton_failure"],
+        "determinate_pass_rate": (count["pass"] / determinate) if determinate else None,
         "records": records,
     }

@@ -192,19 +192,17 @@ class TargetManifold:
             raise ValueError("base point outside the tube neighborhood")
         return self._differential(x, v, s)
 
-    def _differential(self, x, v, s=None):
+    def _differential(self, x, v, s):
         """differential_of_projection without the tube check, for callers
-        that have just projected x; s is the scale of x from
-        _tube_multiplier (|x| on a sphere, t on an ellipsoid) when the
-        caller already has it."""
+        that have just checked x; s is the scale of x that
+        _tube_multiplier returned (|x| on a sphere, t on an ellipsoid)."""
         if self.kind == "sphere":
-            r = np.sqrt((x * x).sum(-1, keepdims=True)) if s is None else s
-            xn = x / r
-            return (v - (v * xn).sum(-1, keepdims=True) * xn) / r
+            xn = x / s
+            return (v - (v * xn).sum(-1, keepdims=True) * xn) / s
         # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
         # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
         a2 = self.semi_axes**2
-        d = a2 + (self._multiplier(x) if s is None else s)
+        d = a2 + s
         w = a2 * x / (d * d)
         dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / d, axis=-1, keepdims=True)
         return a2 * v / d - dt * w

@@ -104,7 +104,7 @@ def flow_trace():
     # n = 128, integrated to the 1e-8 gradient tolerance
     state = make_initial_map(parse_config("{}"), seed=7)
     config = FlowConfig(
-        dt_factor=0.2, t_max=50.0, stop_grad_tol=1e-8, integrator="projected_rk4", seed=7
+        dt_factor=0.2, t_max=50.0, stop_grad_tol=1e-8, integrator="projected_rk4"
     )
     return run_flow(state, config, distance_stride=None)
 
@@ -280,7 +280,9 @@ def test_criterion_06_reduction_estimates(ws128, quartic64):
 
 
 def test_criterion_07_integrability_and_flow_exponent(ws128, flow_trace):
-    probe = integrability_probe(ws128, (0.005, 0.01, 0.02), samples_per_radius=20)
+    probe = integrability_probe(
+        sandwich_sweep(ws128, (0.005, 0.01, 0.02), samples_per_radius=20)
+    )
     gaps, grads = trajectory_pairs(flow_trace)
     fit = estimate_gradient_exponent(make_cloud(gaps, grads, "flow trajectory"))
     ok = probe["integrable"] and 0.45 <= fit.theta <= 0.60

@@ -156,6 +156,16 @@ def test_flow_run_trace_and_fit(tmp_path):
     assert fit["flow"]["n_steps"] >= 100
 
 
+def test_flow_run_echoes_the_resolved_seed(tmp_path):
+    config_path = write_config(tmp_path, SMALL_FLOW)
+    out_a = str(tmp_path / "a")
+    out_b = str(tmp_path / "b")
+    assert main(["flow-run", "--config", config_path, "--out", out_a]) == 0
+    assert main(["flow-run", "--config", config_path, "--out", out_b, "--seed", "11"]) == 0
+    assert read_json(out_a, "rate_fit.json")["flow"]["seed"] == 5
+    assert read_json(out_b, "rate_fit.json")["flow"]["seed"] == 11
+
+
 def test_flow_run_reruns_bit_identical(tmp_path):
     config_path = write_config(tmp_path, SMALL_FLOW)
     out = str(tmp_path / "out")

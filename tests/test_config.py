@@ -9,6 +9,7 @@ from loopflow.config import (
     parse_config_file,
     resolved_dict,
 )
+from loopflow.flow import FlowConfig
 
 
 def test_empty_documents_give_defaults():
@@ -114,6 +115,16 @@ def test_resolved_dict_echo():
     assert echo["flow"]["t_max"] == 50.0
     # the echo is a plain JSON-serializable tree
     json.dumps(echo)
+
+
+def test_flow_section_is_the_flow_config():
+    assert parse_config('{"flow": {"t_max": 5}}').flow == FlowConfig(t_max=5)
+    with pytest.raises(ValueError, match="unknown key 'flow.seed'"):
+        parse_config('{"flow": {"seed": 1}}')
+    with pytest.raises(ValueError, match=r"^flow\.t_max must be positive$"):
+        parse_config('{"flow": {"t_max": 0}}')
+    echo = resolved_dict(parse_config("{}"))
+    assert set(echo["flow"]) == {"dt_factor", "t_max", "stop_grad_tol", "integrator"}
 
 
 def test_parse_config_file(tmp_path):

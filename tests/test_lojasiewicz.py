@@ -13,7 +13,7 @@ from loopflow.lojasiewicz import (
 )
 from loopflow.mesh import build_circle_mesh
 from loopflow.polynomials import polynomial
-from loopflow.reduction import build_reduction_workspace
+from loopflow.reduction import build_reduction_workspace, sandwich_sweep
 from loopflow.targets import TargetManifold
 from loopflow.variational import energy_functional_on_bundle, with_quartic_penalty
 
@@ -209,7 +209,7 @@ def test_distance_exponent_input_checks():
 
 def test_probe_calls_energy_reduced_function_flat(energy_ws):
     report = integrability_probe(
-        energy_ws, (0.005, 0.01, 0.02), samples_per_radius=8, seed=1
+        sandwich_sweep(energy_ws, (0.005, 0.01, 0.02), samples_per_radius=8, seed=1)
     )
     assert report["integrable"]
     for rec in report["per_radius"]:
@@ -220,7 +220,7 @@ def test_probe_calls_energy_reduced_function_flat(energy_ws):
 
 def test_probe_rejects_quartic_well(quartic_ws):
     report = integrability_probe(
-        quartic_ws, (0.01, 0.02, 0.04), samples_per_radius=8, seed=1
+        sandwich_sweep(quartic_ws, (0.01, 0.02, 0.04), samples_per_radius=8, seed=1)
     )
     assert not report["integrable"]
     worst = report["per_radius"][-1]

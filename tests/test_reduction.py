@@ -6,6 +6,7 @@ import pytest
 from loopflow import reduction
 from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
 from loopflow.flow import _common_slope
+from loopflow.lojasiewicz import integrability_probe
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import (
     _random_fiber_field,
@@ -330,6 +331,48 @@ def test_sandwich_sweep_report_shape(quartic_ws):
     assert len(rep["records"]) == 6
     assert rep["n_pass"] + rep["n_fail"] + rep["n_indeterminate"] + rep["n_newton_failure"] == 6
     assert rep["determinate_pass_rate"] == 1.0
+
+
+@pytest.mark.parametrize("name", ["energy_ws", "quartic_ws"])
+def test_sandwich_sweep_records_the_reduced_function(name, request):
+    ws = request.getfixturevalue(name)
+    radii, spr, seed = (0.005, 0.02), 4, 3
+    rep = sandwich_sweep(ws, radii=radii, samples_per_radius=spr, seed=seed)
+    rng = np.random.default_rng(seed)
+    for i, r in enumerate(radii):
+        for rec in rep["records"][i * spr : (i + 1) * spr]:
+            d = rng.standard_normal(ws.kernel_dim)
+            xi = r * (d / np.linalg.norm(d))
+            assert rec["abs_f"] == abs(reduced_function(ws, xi))
+
+
+def test_integrability_probe_skips_newton_failures(quartic_ws, monkeypatch):
+    radii, spr = (0.01, 0.02, 0.04), 4
+    clean = sandwich_sweep(quartic_ws, radii=radii, samples_per_radius=spr, seed=1)
+    # fail the Newton solve of the largest |f| at the middle radius; each
+    # record makes exactly one invert_N call, in record order
+    middle = [rec["abs_f"] for rec in clean["records"][spr : 2 * spr]]
+    failing = spr + int(np.argmax(middle))
+    calls = []
+    solve = reduction.invert_N
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == failing:
+            raise RuntimeError("Newton iteration did not converge")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "invert_N", flaky)
+    sweep = sandwich_sweep(quartic_ws, radii=radii, samples_per_radius=spr, seed=1)
+    assert len(calls) == len(radii) * spr
+    assert sweep["records"][failing]["status"] == "newton_failure"
+    assert sweep["records"][failing]["abs_f"] is None
+    assert sweep["n_newton_failure"] == 1
+    before = integrability_probe(clean)["per_radius"]
+    after = integrability_probe(sweep)["per_radius"]
+    assert [rec["newton_failures"] for rec in after] == [0, 1, 0]
+    assert after[1]["max_abs_f"] == sorted(middle)[-2] < before[1]["max_abs_f"]
+    assert after[0] == before[0] and after[2] == before[2]
 
 
 def test_ellipsoid_of_revolution_kernel_is_the_rotation_field():

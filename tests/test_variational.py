@@ -437,6 +437,27 @@ def test_chart_energy_rejects_another_bundle():
     assert functional_value(again, func, zero_section(again)) == 0.0
 
 
+def test_chart_energy_rejects_the_same_loop_on_another_target():
+    # the n = 32 equator lies on both S^2 and the (1, 1, 1.3) ellipsoid; the
+    # sphere's chart energy evaluated with the ellipsoid's bundle at
+    # 0.1 cos(theta) e_z used to return the ellipsoid's 0.012653 (its own
+    # bundle gives 6.82e-5)
+    b = equator_bundle(32)
+    func = energy_functional_on_bundle(b)
+    ellipsoid = build_pullback_bundle(
+        b.mesh, TargetManifold.ellipsoid((1.0, 1.0, 1.3)), b.base_map
+    )
+    field = np.zeros_like(b.base_map)
+    field[:, 2] = 0.1 * np.cos(b.mesh.node_angles)
+    assert abs(functional_value(b, func, section(b, field)) - 6.82e-5) < 1e-7
+    with pytest.raises(ValueError, match="bundle other than the one it was built on"):
+        functional_value(ellipsoid, func, section(ellipsoid, field))
+    # a sphere with another tube radius is another target too
+    thin = build_pullback_bundle(b.mesh, TargetManifold.sphere(3, tube_radius=0.25), b.base_map)
+    with pytest.raises(ValueError, match="bundle other than the one it was built on"):
+        functional_value(thin, func, zero_section(thin))
+
+
 def test_ellipsoid_euler_lagrange_solves_the_multiplier_once(monkeypatch):
     t = TargetManifold.ellipsoid((1.0, 1.0, 1.3))
     st = great_circle(32, target=t)
