@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import integrate
-from .variational import MapState, energy, tension_field
+from .variational import MapState, _tension_parts, tension_field
 
 __all__ = [
     "FlowConfig",
@@ -137,11 +137,10 @@ def run_flow(initial, config, distance_stride=1):
     kept = []
     t = 0.0
     for k in range(n_max + 1):
-        state = MapState(mesh, target, values)
-        tension = tension_field(state)
-        mt = target.tangent_part(values, tension)
+        tension, du, normal = _tension_parts(mesh, target, values)
+        mt = tension - np.sum(tension * normal, axis=-1, keepdims=True) * normal
         times.append(t)
-        energies.append(energy(state))
+        energies.append(integrate(mesh, np.sum(du * du, axis=1)))
         grads.append(float(np.sqrt(integrate(mesh, np.sum(mt * mt, axis=1)))))
         if distance_stride is not None and k % distance_stride == 0:
             block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)

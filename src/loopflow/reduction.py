@@ -1,24 +1,23 @@
 """Liapunov-Schmidt reduction: kernel extraction, N = P_K + M_F, Newton
 inversion, and the reduced function on the kernel.
 
-The linearization lives on fiber-frame coordinates (p-1 per node), which
-quotients out the ambient normal directions, so eigendecomposing it sees
-only the section space; it is the only matrix the reduction builds.
-Kernel vectors are kept when their eigenvalue is below a relative
-threshold, and a tenfold spectral gap between kept and discarded
-eigenvalues is enforced so a mis-sized kernel fails loudly instead of
-silently.
+The linearization L(0) lives on fiber-frame coordinates (p-1 per node),
+which quotients out the ambient normal directions, so eigendecomposing
+it sees only the section space. Kernel vectors are kept when their
+eigenvalue is below a relative threshold; a threshold that keeps them
+all, or no tenfold spectral gap to the discarded ones, fails loudly.
 
 The kernel is held as one (m, l) matrix K of frame coordinates, and all
 Newton work happens in frame coordinates. The quadrature weight is
 uniform, so the L2 inner product of sections is h times the Euclidean
 one on coordinates: h K^T K = I, and the kernel projector is the dense
-rank-l matrix h K K^T. N is defined once, on frame coordinates. Newton
-is a chord iteration on the workspace's own matrix P_K + L(0), and a
-Jacobian is assembled only when a chord step stops halving the residual.
-The reduced gradient is exact: one assembly and one linear solve.
-sandwich_sweep reads both the sandwich ratio and |f(xi)| off one Newton
-solve per kernel sample; lojasiewicz.integrability_probe reads its records.
+rank-l matrix h K K^T. N is defined once, on frame coordinates. As
+eigh(L(0)) = V diag(lambda) V^T gives P_K + L(0) = V diag(lambda + 1_K)
+V^T, the workspace keeps its inverse as Newton's chord; a Jacobian
+P_K + L(u) is assembled and inverted only when a chord step stops
+halving the residual. The reduced gradient is exact: one assembly and
+one linear solve. sandwich_sweep reads the sandwich ratio and |f(xi)|
+off one Newton solve per kernel sample; integrability_probe reads them.
 """
 
 from collections import Counter
@@ -66,13 +65,13 @@ _CHORD_RATIO = 0.5
 
 @dataclass(frozen=True)
 class ReductionWorkspace:
-    """The linearization at the zero section and its kernel K, held as
-    L2-orthonormal frame coordinates (h K^T K = I); kernel_basis is K as
-    sections."""
+    """The kernel K of the linearization L(0) at the zero section, held as
+    L2-orthonormal frame coordinates (h K^T K = I), and Newton's chord
+    (P_K + L(0))^{-1}; kernel_basis is K as sections."""
 
     bundle: object
     functional: object
-    frame_matrix: np.ndarray      # (m, m) linearization on frame coords
+    chord_inverse: np.ndarray     # (m, m) (P_K + L(0))^{-1} on frame coords
     kernel: np.ndarray            # (m, l) kernel in frame coords
     kernel_eigenvalues: np.ndarray
     kernel_tol: float
@@ -99,7 +98,7 @@ def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
     is checked, and split it into kernel and complement.
 
     Returns kept coordinate vectors (L2-orthonormalized), kept
-    eigenvalues, and the gap bookkeeping.
+    eigenvalues, the chord inverse (P_K + L)^{-1}, and the gap bookkeeping.
     """
     eigvals, eigvecs = np.linalg.eigh(L_frame)
     mags = np.abs(eigvals)
@@ -111,27 +110,27 @@ def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
         )
     threshold = kernel_tol * radius
     keep = mags < threshold
+    if keep.all():
+        raise ValueError(f"kernel_tol {kernel_tol:g} is above 1 and keeps every eigenvalue")
     kept_vals = eigvals[keep]
-    kept_vecs = eigvecs[:, keep]
-    kept_max = float(np.max(mags[keep])) if keep.any() else 0.0
-    discarded = mags[~keep]
-    discarded_min = float(np.min(discarded)) if discarded.size else np.inf
-    if keep.any() and discarded.size:
-        gap_ratio = discarded_min / kept_max if kept_max > 0.0 else np.inf
-        if discarded_min < _GAP_FACTOR * kept_max:
-            raise ValueError(
-                f"no spectral gap: smallest discarded eigenvalue {discarded_min:.3e} "
-                f"is under {_GAP_FACTOR:.0f}x the largest kept one {kept_max:.3e}"
-            )
-    else:
-        gap_ratio = np.inf
-    # eigh vectors are Euclidean-orthonormal; the quadrature inner product
-    # is h times Euclidean, so a uniform rescale makes them L2-orthonormal.
-    kept_vecs = kept_vecs / np.sqrt(spacing)
+    kept_max = float(np.max(mags[keep], initial=0.0))
+    discarded_min = float(np.min(mags[~keep]))
+    gap_ratio = discarded_min / kept_max if kept_max > 0.0 else np.inf
+    if discarded_min < _GAP_FACTOR * kept_max:
+        raise ValueError(
+            f"no spectral gap: smallest discarded eigenvalue {discarded_min:.3e} "
+            f"is under {_GAP_FACTOR:.0f}x the largest kept one {kept_max:.3e}"
+        )
+    # eigh vectors are Euclidean-orthonormal, so h K K^T = V_kept V_kept^T
+    # adds 1 to each kept eigenvalue, and the quadrature inner product is
+    # h times Euclidean: a uniform rescale makes them L2-orthonormal.
+    chord_inverse = (eigvecs / (eigvals + keep)) @ eigvecs.T
+    kept_vecs = eigvecs[:, keep] / np.sqrt(spacing)
     order = np.argsort(kept_vals)
     return (
         kept_vecs[:, order],
         kept_vals[order],
+        chord_inverse,
         radius,
         threshold,
         discarded_min,
@@ -148,15 +147,15 @@ def build_reduction_workspace(
     xi_radius=0.05,
 ):
     L_frame, asymmetry = frame_linearization(bundle, functional)
-    kernel, vals, radius, threshold, discarded_min, gap_ratio = _spectral_split(
+    kernel, vals, chord_inverse, radius, threshold, discarded_min, gap_ratio = _spectral_split(
         L_frame, asymmetry, bundle.mesh.spacing, kernel_tol
     )
-    for arr in (L_frame, kernel, vals):
+    for arr in (chord_inverse, kernel, vals):
         arr.setflags(write=False)
     return ReductionWorkspace(
         bundle=bundle,
         functional=functional,
-        frame_matrix=L_frame,
+        chord_inverse=chord_inverse,
         kernel=kernel,
         kernel_eigenvalues=vals,
         kernel_tol=float(kernel_tol),
@@ -205,17 +204,23 @@ def apply_N(workspace, u):
     return section(bundle, _from_coords(bundle, n_coords))
 
 
+def _jacobian(workspace, values):
+    """P_K + L(u) = h K K^T + L(u) on frame coordinates, at section values u."""
+    K = workspace.kernel
+    L_u, _ = frame_linearization(workspace.bundle, workspace.functional, at_values=values)
+    return workspace.bundle.mesh.spacing * (K @ K.T) + L_u
+
+
 def invert_N(workspace, f, return_info=False):
     """Solve N(u) = f by chord Newton from u0 = f, in frame coordinates.
 
     f's bundle is checked once; every residual f - N(u) is then taken on
-    frame coordinates by the one function that defines N. The chord
-    matrix starts as the workspace's own P_K + L(0), which costs no
-    assembly. A full chord step is kept while it at least halves the
-    residual or meets newton_tol. Otherwise the Jacobian P_K + L(u) is
-    assembled at the current iterate, becomes the chord matrix, and a
-    Newton step is taken whose residual increase triggers step halving
-    (up to 8). Raises RuntimeError when the residual tolerance is not met
+    frame coordinates by the one function that defines N. The chord is
+    the workspace's (P_K + L(0))^{-1}, so a step is one product. A full
+    chord step is kept while it at least halves the residual or meets
+    newton_tol. Otherwise the Jacobian P_K + L(u) is assembled at the
+    current iterate, its inverse becomes the chord, and a Newton step is
+    taken whose residual increase triggers step halving (up to 8). Raises RuntimeError when the residual tolerance is not met
     within newton_max_iter iterations, which operationally marks f as
     outside the inversion neighborhood. The info dict holds the residual
     history, the iteration count, the Jacobian assemblies and the
@@ -229,8 +234,6 @@ def invert_N(workspace, f, return_info=False):
         raise ValueError(
             f"right-hand side norm {fnorm:.3f} is outside the inversion basin {_NEWTON_BASIN}"
         )
-    K = workspace.kernel
-    pk_mat = h * (K @ K.T)
     f_coords = _to_coords(bundle, f.values)
 
     def residual(u_coords):
@@ -238,27 +241,22 @@ def invert_N(workspace, f, return_info=False):
         return r, float(np.sqrt(h) * np.linalg.norm(r))
 
     iters = assemblies = halvings = 0
-
-    def step(jacobian, r):
-        try:
-            return np.linalg.solve(jacobian, r)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular Newton system at iteration {iters}") from exc
-
-    chord = pk_mat + workspace.frame_matrix
+    chord_inv = workspace.chord_inverse
     u = f_coords.copy()
     r, rnorm = residual(u)
     history = [rnorm]
     converged = rnorm <= workspace.newton_tol
     while not converged and iters < workspace.newton_max_iter:
-        delta = step(chord, r)
+        delta = chord_inv @ r
         r_new, rnorm_new = residual(u + delta)
         # Written so that a NaN residual also refreshes the Jacobian.
         if not (rnorm_new <= _CHORD_RATIO * rnorm or rnorm_new <= workspace.newton_tol):
-            L_u, _ = frame_linearization(bundle, workspace.functional, at_values=_from_coords(bundle, u))
             assemblies += 1
-            chord = pk_mat + L_u
-            delta = step(chord, r)
+            try:
+                chord_inv = np.linalg.inv(_jacobian(workspace, _from_coords(bundle, u)))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"singular Newton system at iteration {iters}") from exc
+            delta = chord_inv @ r
             scale = 1.0
             for _ in range(9):
                 r_new, rnorm_new = residual(u + scale * delta)
@@ -316,11 +314,8 @@ def _gradient_at(workspace, u, mf):
     on the kernel, and that matrix is symmetric, so the gradient is
     <(P_K + L(u))^{-1} M_F(u), phi_j>: one assembly and one solve.
     """
-    bundle, K = workspace.bundle, workspace.kernel
-    h = bundle.mesh.spacing
-    L_u, _ = frame_linearization(bundle, workspace.functional, at_values=u.values)
-    x = np.linalg.solve(h * (K @ K.T) + L_u, _to_coords(bundle, mf.values))
-    return h * (K.T @ x)
+    x = np.linalg.solve(_jacobian(workspace, u.values), _to_coords(workspace.bundle, mf.values))
+    return workspace.bundle.mesh.spacing * (workspace.kernel.T @ x)
 
 
 def reduced_gradient(workspace, xi):

@@ -248,10 +248,10 @@ def curvature_contraction(target, y, X):
 
 
 def _tangent_curvature(target, y, X):
-    """A_y(X_t, X_t) over stacked rows, X_t the tangent part of X at y,
-    from one unit normal per row: the tension field's curvature term.
+    """(A_y(X_t, X_t), n) over stacked rows, X_t the tangent part of X at
+    y and n the unit normal at y: the tension field's curvature term.
 
-    Bit for bit curvature_contraction(target, y, target.tangent_part(y, X)):
+    Bit for bit (curvature_contraction(target, y, X_t), unit_normal(y)):
     _shape_form's gradient 2 y / a^2 is exactly twice the normal's y / a^2
     and its norm exactly twice that norm, so both normals are the same
     floats and its coefficient is the one computed here.
@@ -262,4 +262,4 @@ def _tangent_curvature(target, y, X):
     n = grad / gn
     Xt = X - (X * n).sum(-1, keepdims=True) * n
     coeff = (Xt * (2.0 * Xt / a2)).sum(-1, keepdims=True) / (2.0 * gn)
-    return -coeff * n
+    return -coeff * n, n

@@ -105,8 +105,14 @@ def tension_field(state):
     studies can measure it; take tangential_tension for the constrained
     gradient direction that actually drives the flow.
     """
-    du, lap = _differences(state.mesh, state.values)
-    return lap - _tangent_curvature(state.target, state.values, du)
+    return _tension_parts(state.mesh, state.target, state.values)[0]
+
+
+def _tension_parts(mesh, target, values):
+    """(tension_field, Du, the unit normal it used) of map values."""
+    du, lap = _differences(mesh, values)
+    curvature, normal = _tangent_curvature(target, values, du)
+    return lap - curvature, du, normal
 
 
 def tangential_tension(state):

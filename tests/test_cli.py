@@ -216,6 +216,17 @@ def test_loj_estimate_fails_on_the_workspace_before_the_flow(tmp_path, monkeypat
     assert flows == []
 
 
+def test_reduce_run_rejects_a_kernel_tol_that_keeps_every_eigenvalue(tmp_path):
+    payload = {"domain": {"n_nodes": 16}, "reduction": {"kernel_tol": 1.5}}
+    config_path = write_config(tmp_path, payload)
+    out = str(tmp_path / "out")
+    assert main(["reduce-run", "--config", config_path, "--out", out, "--seed", "7"]) == 1
+    record = read_json(out, "error.json")
+    assert record["error_type"] == "ValueError"
+    assert "kernel_tol" in record["error"]
+    assert not os.path.exists(os.path.join(out, "reduction_report.json"))
+
+
 def test_reduce_run_artifacts(tmp_path):
     payload = {
         "domain": {"n_nodes": 48},

@@ -15,7 +15,7 @@ from loopflow.flow import (
 from loopflow.mesh import build_circle_mesh, integrate
 from loopflow.polynomials import polynomial
 from loopflow.targets import TargetManifold
-from loopflow.variational import MapState, energy, tangential_tension, tension_field
+from loopflow.variational import MapState, energy, tangential_tension
 
 
 def perturbed_equator(n, amplitude=0.05):
@@ -182,13 +182,19 @@ def test_one_pass_flow_matches_replayed_steps(make_map, n, integrator):
 
 @pytest.mark.parametrize("integrator, per_step", [("projected_rk4", 4), ("projected_euler", 1)])
 def test_flow_evaluates_tension_once_per_stage(monkeypatch, integrator, per_step):
+    # a recorded step takes its tension from _tension_parts, a stage from
+    # tension_field; both count as one evaluation
     calls = []
 
-    def counted(state):
-        calls.append(1)
-        return tension_field(state)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
 
-    monkeypatch.setattr(flow_module, "tension_field", counted)
+        return wrapper
+
+    for name in ("tension_field", "_tension_parts"):
+        monkeypatch.setattr(flow_module, name, counted(getattr(flow_module, name)))
     config = FlowConfig(dt_factor=0.2, t_max=0.5, integrator=integrator)
     trace = run_flow(perturbed_equator(16), config)
     n_steps = trace.config_echo["n_steps"]

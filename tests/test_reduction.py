@@ -28,7 +28,11 @@ from loopflow.reduction import (
     sandwich_sweep,
 )
 from loopflow.targets import TargetManifold
-from loopflow.variational import energy_functional_on_bundle, with_quartic_penalty
+from loopflow.variational import (
+    energy_functional_on_bundle,
+    frame_linearization,
+    with_quartic_penalty,
+)
 
 
 def equator_bundle(n, target=None, diff_order=2):
@@ -44,6 +48,12 @@ def equator_bundle(n, target=None, diff_order=2):
 def energy_ws():
     b = equator_bundle(64)
     return build_reduction_workspace(b, energy_functional_on_bundle(b))
+
+
+@pytest.fixture(scope="module")
+def energy_L0(energy_ws):
+    """The linearization L(0) that energy_ws was built from."""
+    return frame_linearization(energy_ws.bundle, energy_ws.functional)[0]
 
 
 @pytest.fixture(scope="module")
@@ -83,32 +93,32 @@ def test_workspace_kernel_layout(energy_ws):
             assert abs(l2_inner(pi, pj) - want) < 1e-10
 
 
-def test_workspace_frame_matrix_symmetric(energy_ws):
-    F = energy_ws.frame_matrix
+def test_workspace_frame_matrix_symmetric(energy_L0):
+    F = energy_L0
     assert float(np.max(np.abs(F - F.T))) < 1e-12  # symmetrized on return
 
 
-def test_compute_kernel_basis_is_orthonormal(energy_ws):
+def test_compute_kernel_basis_is_orthonormal(energy_ws, energy_L0):
     h = energy_ws.bundle.mesh.spacing
-    vecs, vals, *_ = _spectral_split(energy_ws.frame_matrix, 0.0, h, 1e-6)
+    vecs, vals, *_ = _spectral_split(energy_L0, 0.0, h, 1e-6)
     assert vecs.shape == (64 * 2, 3)
     assert vals.shape == (3,)
     # frame coordinates are orthonormal per node, so the L2 pairing is h x Euclidean
     np.testing.assert_allclose(h * vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
-def test_compute_kernel_empty_for_shifted_operator(energy_ws):
+def test_compute_kernel_empty_for_shifted_operator(energy_ws, energy_L0):
     # adding the identity on frame coordinates pushes every eigenvalue up by
     # one, so nothing survives the relative threshold
-    L = energy_ws.frame_matrix
+    L = energy_L0
     h = energy_ws.bundle.mesh.spacing
     vecs, vals, *_ = _spectral_split(L + np.eye(L.shape[0]), 0.0, h, 1e-6)
     assert vecs.shape == (L.shape[0], 0)
     assert vals.size == 0
 
 
-def test_compute_kernel_rejects_asymmetry(energy_ws):
-    L = energy_ws.frame_matrix.copy()
+def test_compute_kernel_rejects_asymmetry(energy_ws, energy_L0):
+    L = energy_L0.copy()
     L[2, 5] += 1.0
     asymmetry = float(np.max(np.abs(L - L.T)))
     with pytest.raises(ValueError, match="asymmetry"):
@@ -128,10 +138,10 @@ def test_asymmetric_linearization_is_rejected():
         build_reduction_workspace(b, skewed)
 
 
-def test_compute_kernel_rejects_missing_gap(energy_ws):
+def test_compute_kernel_rejects_missing_gap(energy_ws, energy_L0):
     # synthesize a spectrum whose first discarded eigenvalue sits within
     # 10x of the largest kept one
-    m = energy_ws.frame_matrix.shape[0]
+    m = energy_L0.shape[0]
     rng = np.random.default_rng(5)
     Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     d = np.full(m, 1.0)
@@ -140,6 +150,22 @@ def test_compute_kernel_rejects_missing_gap(energy_ws):
     d[2] = 4e-6  # within 10x of 5e-7 but above threshold 1e-6
     with pytest.raises(ValueError, match="spectral gap"):
         _spectral_split((Q * d) @ Q.T, 0.0, energy_ws.bundle.mesh.spacing, 1e-6)
+
+
+def test_kernel_tol_that_keeps_every_eigenvalue_is_rejected():
+    # a threshold above the spectral radius would call the whole section
+    # space the kernel, which no gap guard can see
+    b = equator_bundle(16)
+    with pytest.raises(ValueError, match="kernel_tol"):
+        build_reduction_workspace(b, energy_functional_on_bundle(b), kernel_tol=1.5)
+
+
+@pytest.mark.parametrize("name", WORKSPACES)
+def test_chord_inverse_inverts_the_jacobian_at_zero(name, request):
+    ws = request.getfixturevalue(name)
+    jacobian = reduction._jacobian(ws, np.zeros_like(ws.bundle.base_map))
+    m = jacobian.shape[0]
+    np.testing.assert_allclose(ws.chord_inverse @ jacobian, np.eye(m), rtol=0.0, atol=1e-9)
 
 
 def test_kernel_coordinates_round_trip(energy_ws):
@@ -204,8 +230,8 @@ def test_invert_N_is_right_inverse(name, request):
 
 
 def test_invert_N_reuses_the_workspace_matrix_at_small_f(energy_ws, monkeypatch):
-    # near 0 the workspace's own P_K + L(0) is a good chord matrix, so
-    # no Jacobian is assembled
+    # near 0 the workspace's own (P_K + L(0))^-1 is a good chord, so no
+    # Jacobian is assembled and nothing is solved or factored
     calls = []
     assemble = reduction.frame_linearization
 
@@ -213,7 +239,12 @@ def test_invert_N_reuses_the_workspace_matrix_at_small_f(energy_ws, monkeypatch)
         calls.append(1)
         return assemble(*args, **kwargs)
 
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("a chord step factored a matrix")
+
     monkeypatch.setattr(reduction, "frame_linearization", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_factorization)
+    monkeypatch.setattr(np.linalg, "inv", no_factorization)
     f = kernel_combination(energy_ws, np.array([0.02, -0.01, 0.015]))
     u, info = invert_N(energy_ws, f, return_info=True)
     assert calls == []
@@ -224,9 +255,9 @@ def test_invert_N_reuses_the_workspace_matrix_at_small_f(energy_ws, monkeypatch)
 
 
 def test_invert_N_refreshes_a_poor_chord_matrix(energy_ws):
-    # half the linearization is a chord matrix whose steps no longer halve
-    # the residual, so Newton assembles the Jacobian and still converges
-    ws = dataclasses.replace(energy_ws, frame_matrix=0.5 * energy_ws.frame_matrix)
+    # twice the inverse is a chord whose steps no longer halve the
+    # residual, so Newton assembles the Jacobian and still converges
+    ws = dataclasses.replace(energy_ws, chord_inverse=2.0 * energy_ws.chord_inverse)
     f = kernel_combination(ws, np.array([0.02, -0.01, 0.015]))
     u, info = invert_N(ws, f, return_info=True)
     assert info["jacobian_assemblies"] >= 1
@@ -235,6 +266,15 @@ def test_invert_N_refreshes_a_poor_chord_matrix(energy_ws):
     assert info["residuals"][-1] <= ws.newton_tol
     back = apply_N(energy_ws, u)
     assert l2_norm(section(ws.bundle, back.values - f.values)) < 1e-9
+
+
+def test_invert_N_names_a_singular_refreshed_jacobian(energy_ws, monkeypatch):
+    ws = dataclasses.replace(energy_ws, chord_inverse=2.0 * energy_ws.chord_inverse)
+    m = ws.chord_inverse.shape[0]
+    monkeypatch.setattr(reduction, "_jacobian", lambda *args: np.zeros((m, m)))
+    f = kernel_combination(ws, np.array([0.02, -0.01, 0.015]))
+    with pytest.raises(RuntimeError, match="singular Newton system at iteration 0"):
+        invert_N(ws, f)
 
 
 def test_invert_N_basin_guard(energy_ws):
