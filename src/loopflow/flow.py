@@ -8,7 +8,11 @@ variation structure of the energy. Recorded gradient norms are the
 fiberwise tangential part of the tension: the raw assembly carries an
 O(h^2) normal residue that never decays, while the tangential norm is
 the actual constrained gradient and is what the dissipation identity
-and the stopping rule see.
+and the stopping rule see. A run binds its stage once: the target's
+projection with its tube check, the bound tension of
+variational._bind_tension, and the step's multiples of dt; no MapState
+is built per stage, and each stage's floats are those of
+project_nearest and tension_field.
 
 Traces store scalars per step. For dist_to_limit the flow also keeps a
 copy of the map at every distance_stride-th step, in preallocated blocks
@@ -17,12 +21,14 @@ flow stops: the trajectory is integrated once, and the kept maps cost
 (recorded rows) x n x p x 8 bytes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mesh import integrate
-from .variational import MapState, _tension_parts, tension_field
+from .targets import _tangent_part
+from .variational import MapState, _bind_tension
 
 __all__ = [
     "FlowConfig",
@@ -54,8 +60,10 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_factor <= 0.5:
             raise ValueError("dt_factor must lie in (0, 0.5]")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
+        if not 0.0 <= self.stop_grad_tol < math.inf:
+            raise ValueError("stop_grad_tol must be finite and nonnegative")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
 
@@ -69,21 +77,27 @@ class FlowTrace:
     config_echo: dict = field(default_factory=dict)
 
 
-def _step_values(mesh, target, values, dt, integrator, k1):
-    """Advance values by dt; k1 is the tension field at values."""
-
-    def velocity(v):
-        return tension_field(MapState(mesh, target, v))
-
+def _bind_step(mesh, target, dt, integrator):
+    """(step, tension): tension is _bind_tension's function, and
+    step(values, k1) advances values by dt, k1 being the tension field at
+    values; every stage is projected back to the target."""
+    project = target._nearest
+    tension = _bind_tension(mesh, target)
     if integrator == "projected_euler":
-        return target.project_nearest(values + dt * k1)
-    u1 = target.project_nearest(values + 0.5 * dt * k1)
-    k2 = velocity(u1)
-    u2 = target.project_nearest(values + 0.5 * dt * k2)
-    k3 = velocity(u2)
-    u3 = target.project_nearest(values + dt * k3)
-    k4 = velocity(u3)
-    return target.project_nearest(values + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+        def step(values, k1):
+            return project(values + dt * k1)[0]
+
+        return step, tension
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(values, k1):
+        k2 = tension(project(values + half * k1)[0])[0]
+        k3 = tension(project(values + half * k2)[0])[0]
+        k4 = tension(project(values + dt * k3)[0])[0]
+        return project(values + sixth * (k1 + 2 * k2 + 2 * k3 + k4))[0]
+
+    return step, tension
 
 
 def _check_stable(mesh, dt, integrator):
@@ -108,10 +122,8 @@ def _check_stable(mesh, dt, integrator):
 def flow_step(state, dt, integrator="projected_rk4"):
     """One explicit step of du/dt = M_E(u) with projection after each stage."""
     _check_stable(state.mesh, dt, integrator)
-    new_values = _step_values(
-        state.mesh, state.target, state.values, dt, integrator, tension_field(state)
-    )
-    return MapState(state.mesh, state.target, new_values)
+    step, tension = _bind_step(state.mesh, state.target, dt, integrator)
+    return MapState(state.mesh, state.target, step(state.values, tension(state.values)[0]))
 
 
 def run_flow(initial, config, distance_stride=1):
@@ -132,16 +144,17 @@ def run_flow(initial, config, distance_stride=1):
     if distance_stride is not None and distance_stride < 1:
         raise ValueError("distance_stride must be at least 1 or None")
     n_max = int(np.ceil(config.t_max / dt))
+    step, tension = _bind_step(mesh, target, dt, config.integrator)
     times, energies, grads = [], [], []
     values = initial.values
     kept = []
     t = 0.0
     for k in range(n_max + 1):
-        tension, du, normal = _tension_parts(mesh, target, values)
-        mt = tension - np.sum(tension * normal, axis=-1, keepdims=True) * normal
+        k1, du, normal = tension(values)
+        mt = _tangent_part(k1, normal)
         times.append(t)
-        energies.append(integrate(mesh, np.sum(du * du, axis=1)))
-        grads.append(float(np.sqrt(integrate(mesh, np.sum(mt * mt, axis=1)))))
+        energies.append(integrate(mesh, np.add.reduce(du * du, 1)))
+        grads.append(float(np.sqrt(integrate(mesh, np.add.reduce(mt * mt, 1)))))
         if distance_stride is not None and k % distance_stride == 0:
             block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
             if slot == 0:
@@ -149,7 +162,7 @@ def run_flow(initial, config, distance_stride=1):
             kept[block][slot] = values
         if grads[-1] < config.stop_grad_tol or k == n_max:
             break
-        values = _step_values(mesh, target, values, dt, config.integrator, tension)
+        values = step(values, k1)
         t += dt
     dist = np.full(len(times), np.nan)
     if distance_stride is not None:

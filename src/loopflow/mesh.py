@@ -8,11 +8,13 @@ difference is exactly antisymmetric under the quadrature inner product.
 A stencil reads a field's neighbours with one `take` along axis 0, whose
 index rows i+1, i-1 (and i+2, i-2 at order 4), taken mod n, are built
 once per node count; the first and second differences of one field share
-that gather.
+that gather. Each mesh binds its gather, neighbour index and stencil
+denominators (2h and h^2, or 12h and 12h^2 at order 4) once, on first
+use, and every difference here and in the flow goes through them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +30,13 @@ class DomainMesh:
     node_angles: np.ndarray
     spacing: float
     quad_weights: np.ndarray
+
+    @cached_property
+    def _stencils(self):
+        """(gather, first, second), bound to this mesh once: gather(field)
+        checks the field and returns it with its neighbours, and first(nb)
+        and second(f, nb) are the centered differences of that gather."""
+        return _bind_stencils(self)
 
 
 def build_circle_mesh(n_nodes, diff_order=2):
@@ -61,44 +70,54 @@ def _neighbour_index(n_nodes, reach):
     return index
 
 
-def _neighbours(mesh, f):
-    """f at i+1, i-1 (and i+2, i-2 at order 4), stacked along a new axis 0."""
-    return f.take(_neighbour_index(mesh.n_nodes, mesh.diff_order // 2), axis=0)
-
-
-def _first(mesh, nb):
+def _bind_stencils(mesh):
+    index = _neighbour_index(mesh.n_nodes, mesh.diff_order // 2)
     h = mesh.spacing
-    if mesh.diff_order == 2:
-        return (nb[0] - nb[1]) / (2.0 * h)
-    fp, fm, fpp, fmm = nb
-    return (-fpp + 8.0 * fp - 8.0 * fm + fmm) / (12.0 * h)
 
+    def gather(field):
+        f = _check_field(mesh, field)
+        return f, f.take(index, axis=0)
 
-def _second(mesh, f, nb):
-    h = mesh.spacing
     if mesh.diff_order == 2:
-        return (nb[0] - 2.0 * f + nb[1]) / (h * h)
-    fp, fm, fpp, fmm = nb
-    return (-fpp + 16.0 * fp - 30.0 * f + 16.0 * fm - fmm) / (12.0 * h * h)
+        two_h, h2 = 2.0 * h, h * h
+
+        def first(nb):
+            return (nb[0] - nb[1]) / two_h
+
+        def second(f, nb):
+            return (nb[0] - 2.0 * f + nb[1]) / h2
+
+    else:
+        twelve_h, twelve_h2 = 12.0 * h, 12.0 * h * h
+
+        def first(nb):
+            fp, fm, fpp, fmm = nb
+            return (-fpp + 8.0 * fp - 8.0 * fm + fmm) / twelve_h
+
+        def second(f, nb):
+            fp, fm, fpp, fmm = nb
+            return (-fpp + 16.0 * fp - 30.0 * f + 16.0 * fm - fmm) / twelve_h2
+
+    return gather, first, second
 
 
 def differentiate(mesh, field):
     """Periodic centered first derivative along axis 0."""
-    f = _check_field(mesh, field)
-    return _first(mesh, _neighbours(mesh, f))
+    gather, first, _ = mesh._stencils
+    return first(gather(field)[1])
 
 
 def laplace_beltrami(mesh, field):
     """Periodic second derivative (compact stencil of the mesh order)."""
-    f = _check_field(mesh, field)
-    return _second(mesh, f, _neighbours(mesh, f))
+    gather, _, second = mesh._stencils
+    return second(*gather(field))
 
 
 def _differences(mesh, field):
     """(differentiate, laplace_beltrami) of one field from one gather."""
-    f = _check_field(mesh, field)
-    nb = _neighbours(mesh, f)
-    return _first(mesh, nb), _second(mesh, f, nb)
+    gather, first, second = mesh._stencils
+    f, nb = gather(field)
+    return first(nb), second(f, nb)
 
 
 def forward_difference(mesh, field):

@@ -14,10 +14,18 @@ tension field's curvature term takes the tangent part of Du and
 contracts the shape operator with it from one unit normal per point. A
 tube radius below the reach a_min^2 / a_max bounds the neighborhood on
 which projection and chart operations are trusted; a point belongs to it
-when its exact distance |x - Pi(x)| is below the radius.
+when its exact distance |x - Pi(x)| is below the radius: on a sphere
+that is ||x| - 1| < radius, which also rejects x = 0, NaN and inf.
+
+Each target binds the tube check, the projection and the curvature term
+to its constants once, on first use: a^2, the tube radius, and on an
+ellipsoid a_max, a_min^2 and the end values of the tube check. A sphere
+skips its divisions by a^2 = 1, which are exact. The public methods and
+the flow's stages call the same bound functions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,45 +92,100 @@ class TargetManifold:
 
     def in_tube(self, x):
         """Whether every row of x lies within tube_radius of the target."""
-        return self._tube_multiplier(np.asarray(x, dtype=float))[0]
+        return self._tube(np.asarray(x, dtype=float))[0]
 
-    def _tube_multiplier(self, x):
-        """(inside, s): the tube check of in_tube, and the scale s of every
-        row that projection goes on to use: |x| on a sphere, and on an
-        ellipsoid the multiplier t once it has been solved (else None).
+    @cached_property
+    def _tube(self):
+        """x -> (inside, s): the tube check of in_tube, and the scale s of
+        every row that projection goes on to use: |x| on a sphere, and on
+        an ellipsoid the multiplier t once it has been solved (else None).
         s has shape x.shape[:-1] + (1,).
 
-        The sphere's distance ||x| - 1| is exact; it is compared without
-        dividing, which also rejects x = 0 and NaN. On an ellipsoid,
-        |x - Pi(x)| = |t| |Pi(x) / a^2| and |y / a^2| >= 1 / a_max on the
-        target, so a row within the tube has |t| < e = tube_radius * a_max,
-        where the decreasing root function g of _multiplier changes sign.
-        A row where g does not change sign on (-e, e) is outside the tube
-        (x = 0, NaN and points near the centre among them) and fails
-        before the solve. For the others the sign change guarantees the
-        one solve a root, and |t x / (a^2 + t)| is the exact distance.
+        The sphere's distance ||x| - 1| is exact, and comparing it with
+        the radius rejects x = 0 (the radius is below 1), NaN and inf. On
+        an ellipsoid, |x - Pi(x)| = |t| |Pi(x) / a^2| and |y / a^2| >=
+        1 / a_max on the target, so a row within the tube has |t| < e =
+        tube_radius * a_max, where the decreasing root function g of
+        _multiplier changes sign. A row where g does not change sign on
+        (-e, e) is outside the tube (x = 0, NaN and points near the centre
+        among them) and fails before the solve. For the others the sign
+        change guarantees the one solve a root, and |t x / (a^2 + t)| is
+        the exact distance.
         """
+        radius = self.tube_radius
         if self.kind == "sphere":
-            r = np.sqrt((x * x).sum(-1, keepdims=True))
-            return bool((r * np.abs(r - 1.0) < self.tube_radius * r).all()), r
+
+            def tube(x):
+                r = np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
+                return bool(abs(r - 1.0).max() < radius), r
+
+            return tube
+        a2 = self._a2
+        edge = radius * self.semi_axes.max()
+        ends = ((a2 + np.array([[-edge], [edge]])) ** -2).T
+        signs = np.array((1.0, -1.0))
+        radius2 = radius**2
+
+        def tube(x):
+            g_ends = (a2 * x * x) @ ends - 1.0
+            if not (g_ends * signs > 0.0).all():
+                return False, None
+            t = self._multiplier(x)
+            offset = t * x / (a2 + t)
+            return bool((np.add.reduce(offset * offset, -1) < radius2).all()), t
+
+        return tube
+
+    @cached_property
+    def _a2(self):
+        """The squared semi-axes, read-only."""
         a2 = self.semi_axes**2
-        edge = self.tube_radius * self.semi_axes.max()
-        g_ends = (a2 * x * x) @ ((a2 + np.array([[-edge], [edge]])) ** -2).T - 1.0
-        if not (g_ends * (1.0, -1.0) > 0.0).all():
-            return False, None
-        t = self._multiplier(x)
-        offset = t * x / (a2 + t)
-        return bool(((offset * offset).sum(-1) < self.tube_radius**2).all()), t
+        a2.setflags(write=False)
+        return a2
 
     def unit_normal(self, y):
         """Unit normal grad G / |grad G| of the level set at each point y."""
-        grad = y / self.semi_axes**2
-        return grad / np.sqrt((grad * grad).sum(-1, keepdims=True))
+        return self._normal(np.asarray(y, dtype=float))[0]
+
+    @cached_property
+    def _normal(self):
+        """y -> (n, |grad G|): the unit normal at y and the norm of the
+        gradient y / a^2 it normalizes, rowwise."""
+        a2 = None if self.kind == "sphere" else self._a2
+
+        def normal(y):
+            grad = y if a2 is None else y / a2
+            gn = np.sqrt(np.add.reduce(grad * grad, -1, keepdims=True))
+            return grad / gn, gn
+
+        return normal
 
     def tangent_part(self, y, X):
         """X minus its component along the unit normal at y, rowwise."""
-        n = self.unit_normal(y)
-        return X - np.sum(X * n, axis=-1, keepdims=True) * n
+        return _tangent_part(X, self.unit_normal(y))
+
+    @cached_property
+    def _tangent_curvature(self):
+        """(y, X) -> (c, n) over stacked rows, with A_y(X_t, X_t) = -c n,
+        X_t the tangent part of X at y and n the unit normal at y: the
+        tension field's curvature term.
+
+        Bit for bit (curvature_contraction(self, y, X_t), unit_normal(y))
+        = (-c n, n): _shape_form's gradient 2 y / a^2 is exactly twice the
+        normal's y / a^2 and its norm exactly twice that norm, so both
+        normals are the same floats and its coefficient is the c computed
+        here.
+        """
+        normal = self._normal
+        a2 = None if self.kind == "sphere" else self._a2
+
+        def tangent_curvature(y, X):
+            n, gn = normal(y)
+            Xt = _tangent_part(X, n)
+            twice = 2.0 * Xt if a2 is None else 2.0 * Xt / a2
+            return np.add.reduce(Xt * twice, -1, keepdims=True) / (2.0 * gn), n
+
+        return tangent_curvature
 
     # -- nearest-point projection ------------------------------------------
 
@@ -130,21 +193,26 @@ class TargetManifold:
         """Nearest point on the target; accepts a point or an (n, p) stack."""
         return self._nearest(x)[0]
 
-    def _nearest(self, x):
-        """(y, s): project_nearest's point y and the scale s of x that
-        _tube_multiplier returns, for callers that go on to _differential."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.ambient_dim:
-            raise ValueError(
-                f"point has dimension {x.shape[-1]}, target lives in R^{self.ambient_dim}"
-            )
-        inside, s = self._tube_multiplier(x)
-        if not inside:
-            raise ValueError("point outside the tube neighborhood of the target")
-        if self.kind == "sphere":
-            return x / s, s
-        a2 = self.semi_axes**2
-        return a2 * x / (a2 + s), s
+    @cached_property
+    def _nearest(self):
+        """x -> (y, s): project_nearest's point y and the scale s of x that
+        _tube returns, for callers that go on to _differential."""
+        dim = self.ambient_dim
+        tube = self._tube
+        a2 = None if self.kind == "sphere" else self._a2
+
+        def nearest(x):
+            x = np.asarray(x, dtype=float)
+            if x.shape[-1] != dim:
+                raise ValueError(f"point has dimension {x.shape[-1]}, target lives in R^{dim}")
+            inside, s = tube(x)
+            if not inside:
+                raise ValueError("point outside the tube neighborhood of the target")
+            if a2 is None:
+                return x / s, s
+            return a2 * x / (a2 + s), s
+
+        return nearest
 
     def _multiplier(self, x):
         """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).
@@ -155,27 +223,32 @@ class TargetManifold:
         a_min^2 + t >= a_max |x|. Each row shrinks its own copy; a Newton
         step that leaves it is replaced by bisection.
         """
-        a2 = self.semi_axes**2
+        a2 = self._a2
+        a_max, a2_min = self._bracket
         ax2 = a2 * x * x
-        top = float(self.semi_axes.max() * np.sqrt(np.max(np.sum(x * x, axis=-1))) - a2.min())
-        t = np.zeros(x.shape[:-1] + (1,))
-        lo = np.full_like(t, -float(a2.min()))
-        hi = np.full_like(t, max(top, 0.0))
+        top = float(a_max * np.sqrt(np.add.reduce(x * x, -1).max()) - a2_min)
+        shape = x.shape[:-1] + (1,)
+        t = np.zeros(shape)
+        lo = np.full(shape, -a2_min)
+        hi = np.full(shape, max(top, 0.0))
         for _ in range(_PROJ_MAX_ITER):
             s = a2 + t
             q = ax2 / (s * s)
-            # Method calls rather than np.sum / np.all: same reductions, less
-            # call overhead on the flow's hot path.
-            g = q.sum(-1, keepdims=True) - 1.0
-            if (np.abs(g) <= _PROJ_TOL).all():
+            g = np.add.reduce(q, -1, keepdims=True) - 1.0
+            if abs(g).max() <= _PROJ_TOL:
                 return t
             lo = np.where(g > 0.0, t, lo)
             hi = np.where(g < 0.0, t, hi)
-            newton = t + g / (2.0 * (q / s).sum(-1, keepdims=True))
+            newton = t + g / (2.0 * np.add.reduce(q / s, -1, keepdims=True))
             t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         raise RuntimeError(
             f"ellipsoid projection did not converge: residual {float(np.max(np.abs(g))):.3e}"
         )
+
+    @cached_property
+    def _bracket(self):
+        """(a_max, a_min^2), the constants of _multiplier's bracket."""
+        return self.semi_axes.max(), float(self._a2.min())
 
     # -- differential of projection ----------------------------------------
 
@@ -187,21 +260,20 @@ class TargetManifold:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        inside, s = self._tube_multiplier(x)
+        inside, s = self._tube(x)
         if not inside:
             raise ValueError("base point outside the tube neighborhood")
         return self._differential(x, v, s)
 
     def _differential(self, x, v, s):
         """differential_of_projection without the tube check, for callers
-        that have just checked x; s is the scale of x that
-        _tube_multiplier returned (|x| on a sphere, t on an ellipsoid)."""
+        that have just checked x; s is the scale of x that _tube returned
+        (|x| on a sphere, t on an ellipsoid)."""
         if self.kind == "sphere":
-            xn = x / s
-            return (v - (v * xn).sum(-1, keepdims=True) * xn) / s
+            return _tangent_part(v, x / s) / s
         # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
         # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
-        a2 = self.semi_axes**2
+        a2 = self._a2
         d = a2 + s
         w = a2 * x / (d * d)
         dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / d, axis=-1, keepdims=True)
@@ -247,19 +319,6 @@ def curvature_contraction(target, y, X):
     return _shape_form(target, np.asarray(y, dtype=float), X, X)
 
 
-def _tangent_curvature(target, y, X):
-    """(A_y(X_t, X_t), n) over stacked rows, X_t the tangent part of X at
-    y and n the unit normal at y: the tension field's curvature term.
-
-    Bit for bit (curvature_contraction(target, y, X_t), unit_normal(y)):
-    _shape_form's gradient 2 y / a^2 is exactly twice the normal's y / a^2
-    and its norm exactly twice that norm, so both normals are the same
-    floats and its coefficient is the one computed here.
-    """
-    a2 = target.semi_axes**2
-    grad = y / a2
-    gn = np.sqrt((grad * grad).sum(-1, keepdims=True))
-    n = grad / gn
-    Xt = X - (X * n).sum(-1, keepdims=True) * n
-    coeff = (Xt * (2.0 * Xt / a2)).sum(-1, keepdims=True) / (2.0 * gn)
-    return -coeff * n, n
+def _tangent_part(X, n):
+    """X minus its component along the unit vectors n, rowwise."""
+    return X - np.add.reduce(X * n, -1, keepdims=True) * n

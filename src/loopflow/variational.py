@@ -5,6 +5,9 @@ energy of a degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an
 order-2 mesh. The tension field is the classical pointwise assembly
 Delta u minus the curvature contraction; its fiberwise tangential part
 is the constrained gradient of the discrete energy up to O(h^2).
+_bind_tension binds it to a mesh and a target once: tension_field and
+every stage of the flow go through that one function, with the mesh's
+bound stencils and the target's bound curvature term.
 
 A functional over a pullback bundle is an integrand F(theta, z, eta)
 together with two routines on nodal section values: its value and its
@@ -38,7 +41,6 @@ from .mesh import (
     integrate,
     laplace_beltrami,
 )
-from .targets import _tangent_curvature
 
 __all__ = [
     "MapState",
@@ -105,14 +107,24 @@ def tension_field(state):
     studies can measure it; take tangential_tension for the constrained
     gradient direction that actually drives the flow.
     """
-    return _tension_parts(state.mesh, state.target, state.values)[0]
+    return _bind_tension(state.mesh, state.target)(state.values)[0]
 
 
-def _tension_parts(mesh, target, values):
-    """(tension_field, Du, the unit normal it used) of map values."""
-    du, lap = _differences(mesh, values)
-    curvature, normal = _tangent_curvature(target, values, du)
-    return lap - curvature, du, normal
+def _bind_tension(mesh, target):
+    """values -> (tension_field, Du, the unit normal it used) of map
+    values, with the mesh's stencils and the target's curvature term
+    bound once."""
+    gather, first, second = mesh._stencils
+    curvature = target._tangent_curvature
+
+    def tension_parts(values):
+        f, nb = gather(values)
+        du = first(nb)
+        c, normal = curvature(f, du)
+        # the curvature term A_u(Du_t, Du_t) is -c n
+        return second(f, nb) + c * normal, du, normal
+
+    return tension_parts
 
 
 def tangential_tension(state):

@@ -69,6 +69,10 @@ def test_document_and_section_shape_checks():
         ('{"perturbation": {"mode_count": 0}}', "at least 1"),
         ('{"flow": {"dt_factor": 0.9}}', "dt_factor"),
         ('{"flow": {"t_max": 0.0}}', "t_max"),
+        ('{"flow": {"t_max": NaN}}', "flow.t_max must be positive and finite"),
+        ('{"flow": {"t_max": Infinity}}', "flow.t_max must be positive and finite"),
+        ('{"flow": {"stop_grad_tol": NaN}}', "flow.stop_grad_tol must be finite and nonnegative"),
+        ('{"flow": {"stop_grad_tol": -1e-8}}', "flow.stop_grad_tol must be finite and nonnegative"),
         ('{"flow": {"integrator": "leapfrog"}}', "integrator"),
         ('{"reduction": {"kernel_tol": 0.0}}', "kernel_tol"),
         ('{"lojasiewicz": {"radii": []}}', "nonempty"),
@@ -121,7 +125,7 @@ def test_flow_section_is_the_flow_config():
     assert parse_config('{"flow": {"t_max": 5}}').flow == FlowConfig(t_max=5)
     with pytest.raises(ValueError, match="unknown key 'flow.seed'"):
         parse_config('{"flow": {"seed": 1}}')
-    with pytest.raises(ValueError, match=r"^flow\.t_max must be positive$"):
+    with pytest.raises(ValueError, match=r"^flow\.t_max must be positive and finite$"):
         parse_config('{"flow": {"t_max": 0}}')
     echo = resolved_dict(parse_config("{}"))
     assert set(echo["flow"]) == {"dt_factor", "t_max", "stop_grad_tol", "integrator"}

@@ -12,10 +12,10 @@ from loopflow.flow import (
     flow_step,
     run_flow,
 )
-from loopflow.mesh import build_circle_mesh, integrate
+from loopflow.mesh import build_circle_mesh, differentiate, integrate
 from loopflow.polynomials import polynomial
 from loopflow.targets import TargetManifold
-from loopflow.variational import MapState, energy, tangential_tension
+from loopflow.variational import MapState, energy, map_state, tangential_tension, tension_field
 
 
 def perturbed_equator(n, amplitude=0.05):
@@ -41,6 +41,13 @@ def test_config_validation():
         FlowConfig(dt_factor=0.6)
     with pytest.raises(ValueError):
         FlowConfig(t_max=-1.0)
+    for t_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            FlowConfig(t_max=t_max)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(ValueError, match="stop_grad_tol must be finite and nonnegative"):
+            FlowConfig(stop_grad_tol=tol)
+    FlowConfig(stop_grad_tol=0.0)
     with pytest.raises(ValueError):
         FlowConfig(integrator="leapfrog")
 
@@ -182,24 +189,99 @@ def test_one_pass_flow_matches_replayed_steps(make_map, n, integrator):
 
 @pytest.mark.parametrize("integrator, per_step", [("projected_rk4", 4), ("projected_euler", 1)])
 def test_flow_evaluates_tension_once_per_stage(monkeypatch, integrator, per_step):
-    # a recorded step takes its tension from _tension_parts, a stage from
-    # tension_field; both count as one evaluation
-    calls = []
+    # the recorded step and every later stage evaluate the tension through
+    # the one function the run binds, and each stage projects once
+    tensions, projections = [], []
+    bind = flow_module._bind_tension
 
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(1)
-            return fn(*args)
+    def counted_bind(mesh, target):
+        tension = bind(mesh, target)
 
-        return wrapper
+        def counted(values):
+            tensions.append(1)
+            return tension(values)
 
-    for name in ("tension_field", "_tension_parts"):
-        monkeypatch.setattr(flow_module, name, counted(getattr(flow_module, name)))
+        return counted
+
+    initial = perturbed_equator(16)
+    nearest = initial.target._nearest
+
+    def counted_nearest(x):
+        projections.append(1)
+        return nearest(x)
+
+    monkeypatch.setattr(flow_module, "_bind_tension", counted_bind)
+    monkeypatch.setitem(vars(initial.target), "_nearest", counted_nearest)
     config = FlowConfig(dt_factor=0.2, t_max=0.5, integrator=integrator)
-    trace = run_flow(perturbed_equator(16), config)
+    trace = run_flow(initial, config)
     n_steps = trace.config_echo["n_steps"]
     assert n_steps > 0
-    assert len(calls) == per_step * n_steps + 1
+    assert len(tensions) == per_step * n_steps + 1
+    assert len(projections) == per_step * n_steps
+
+
+def reference_step(state, dt, integrator):
+    """One step written with the public project_nearest and tension_field."""
+    target = state.target
+
+    def velocity(values):
+        return tension_field(MapState(state.mesh, target, values))
+
+    u, k1 = state.values, velocity(state.values)
+    if integrator == "projected_euler":
+        return target.project_nearest(u + dt * k1)
+    k2 = velocity(target.project_nearest(u + 0.5 * dt * k1))
+    k3 = velocity(target.project_nearest(u + 0.5 * dt * k2))
+    k4 = velocity(target.project_nearest(u + dt * k3))
+    return target.project_nearest(u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+@pytest.mark.parametrize(
+    "target, order",
+    [
+        (TargetManifold.sphere(3), 2),
+        (TargetManifold.sphere(3), 4),
+        (TargetManifold.sphere(4), 2),
+        (TargetManifold.ellipsoid((1.0, 1.0, 1.3)), 2),
+        (TargetManifold.ellipsoid((1.0, 1.0, 1.3)), 4),
+    ],
+    ids=["s2-order2", "s2-order4", "s3-order2", "ellipsoid-order2", "ellipsoid-order4"],
+)
+def test_flow_stage_equals_projection_and_tension_field(target, order):
+    # the functions a run binds give the public functions' bits: projection
+    # of seeded points in the tube, and on a seeded loop near the equator
+    # the tension with its Du and unit normal and whole steps of both
+    # integrators
+    rng = np.random.default_rng(17 * order + target.ambient_dim)
+    p = target.ambient_dim
+    for n in (24, 33):
+        mesh = build_circle_mesh(n, diff_order=order)
+        y = rng.standard_normal((n, p))
+        y = y / np.linalg.norm(y / target.semi_axes, axis=1, keepdims=True)
+        offset = rng.standard_normal((n, p))
+        offset *= rng.uniform(0.0, 0.9 * target.tube_radius, (n, 1)) / np.linalg.norm(
+            offset, axis=1, keepdims=True
+        )
+        x = y + offset
+        dt = 0.2 * mesh.spacing**2
+        euler, _ = flow_module._bind_step(mesh, target, dt, "projected_euler")
+        assert np.array_equal(euler(x, np.zeros_like(x)), target.project_nearest(x))
+        th = mesh.node_angles
+        loop = np.zeros((n, p))
+        loop[:, 0], loop[:, 1] = np.cos(th), np.sin(th)
+        for m in (1, 2, 3):
+            wave = np.cos(m * th + rng.uniform(0.0, 6.3))
+            loop += 0.05 * np.outer(wave, rng.uniform(-1.0, 1.0, p))
+        u = target.project_nearest(loop)
+        state = map_state(mesh, target, u)
+        for integrator in ("projected_euler", "projected_rk4"):
+            step, tension = flow_module._bind_step(mesh, target, dt, integrator)
+            k, du, normal = tension(u)
+            assert np.array_equal(k, tension_field(state))
+            assert np.array_equal(du, differentiate(mesh, u))
+            assert np.array_equal(normal, target.unit_normal(u))
+            assert np.array_equal(step(u, k), reference_step(state, dt, integrator))
+            assert np.array_equal(flow_step(state, dt, integrator).values, step(u, k))
 
 
 def test_kept_maps_follow_the_steps_taken_not_t_max():

@@ -302,3 +302,30 @@ def test_sphere_projection_divides_by_the_checked_radius(dim):
             s.project_nearest(bad)
         with pytest.raises(ValueError, match="tube"):
             s.project_nearest(np.vstack([x[:4], bad]))
+
+
+@pytest.mark.parametrize("dim, tube_radius", [(3, 0.5), (4, 0.25)])
+def test_sphere_tube_edge_and_nonfinite_rows(dim, tube_radius):
+    # ||x| - 1| < tube_radius decides: rows just inside the edge project,
+    # rows just outside it, the centre, NaN and +-inf fail by name, whether
+    # alone or inside a stack of good rows
+    s = TargetManifold.sphere(dim, tube_radius=tube_radius)
+    rng = np.random.default_rng(11 * dim)
+    d = rng.standard_normal((6, dim))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    inside = np.vstack([(1.0 + sign * 0.999 * tube_radius) * d for sign in (1.0, -1.0)])
+    want = inside / np.linalg.norm(inside, axis=1, keepdims=True)
+    assert s.in_tube(inside)
+    assert np.array_equal(s.project_nearest(inside), want)
+    for row, y in zip(inside, want):
+        assert np.array_equal(s.project_nearest(row), y)
+    bad = [(1.0 + sign * 1.001 * tube_radius) * d[0] for sign in (1.0, -1.0)]
+    bad += [np.zeros(dim), np.full(dim, np.nan)]
+    bad += [np.r_[inf, np.zeros(dim - 1)] for inf in (np.inf, -np.inf)]
+    for row in bad:
+        assert not s.in_tube(row)
+        assert not s.in_tube(np.vstack([inside, row]))
+        with pytest.raises(ValueError, match="tube"):
+            s.project_nearest(row)
+        with pytest.raises(ValueError, match="tube"):
+            s.project_nearest(np.vstack([inside[:3], row, inside[3:]]))
