@@ -26,7 +26,7 @@ from .bundles import (
     section,
 )
 from .config import RNG_NAME, VERSION, parse_config_file, resolved_dict
-from .flow import fit_convergence_rate, run_flow
+from .flow import _gaps_to_limit, fit_convergence_rate, run_flow
 from .lojasiewicz import (
     estimate_gradient_exponent,
     finite_dim_distance_exponent,
@@ -237,13 +237,13 @@ def _reduction_workspace(config):
     )
 
 
-def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
+def _perturbation_pairs(config, seed):
     """Energy gap against Euler-Lagrange norm for kernel-orthogonal sections."""
     workspace = _reduction_workspace(config)
     bundle, functional = workspace.bundle, workspace.functional
     rng = np.random.default_rng(seed)
     gaps, grads = [], []
-    for amp in amplitudes:
+    for amp in (0.04, 0.02, 0.01, 0.005):
         sec = _random_fiber_field(bundle, rng)
         ortho = section(bundle, sec.values - project_onto_kernel(workspace, sec).values)
         norm = l2_norm(ortho)
@@ -260,16 +260,14 @@ def _perturbation_pairs(config, seed, amplitudes=(0.04, 0.02, 0.01, 0.005)):
 def trajectory_pairs(trace):
     """Asymptotic (gap, gradient) pairs from a flow trace.
 
-    The gap is measured to the final energy, the last tenth of the
-    records is excluded (they define the limit), and records above half
-    the initial gap are dropped: the exponent is local to the limiting
-    critical point, and early records can sit near a different (saddle)
-    level where the gap stalls while the gradient varies.
+    The gap is measured to the final energy over the records before the
+    limit (flow._gaps_to_limit), and records above half the initial gap
+    are dropped: the exponent is local to the limiting critical point,
+    and early records can sit near a different (saddle) level where the
+    gap stalls while the gradient varies.
     """
-    e_inf = float(trace.energies[-1])
-    cut = max(1, int(np.floor(0.9 * len(trace.times))))
-    gaps = np.abs(trace.energies[:cut] - e_inf)
-    grads = trace.grad_norms[:cut]
+    _, _, gaps, grads = _gaps_to_limit(trace)
+    gaps = np.abs(gaps)
     if gaps.size:
         keep = gaps <= 0.5 * gaps[0]
         gaps, grads = gaps[keep], grads[keep]

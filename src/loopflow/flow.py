@@ -212,20 +212,24 @@ def _common_slope(x, y, groups):
     return float(coef[0])
 
 
-def fit_convergence_rate(trace, floor=1e-13):
+def _gaps_to_limit(trace):
+    """(e_inf, times, energy - e_inf, grad_norms) of a trace before its
+    limit e_inf, the final energy: the last tenth of the records (at least
+    one) defines the limit and would bias the gap, so it is excluded."""
+    e_inf = float(trace.energies[-1])
+    cut = max(1, int(np.floor(0.9 * len(trace.times))))
+    return e_inf, trace.times[:cut], trace.energies[:cut] - e_inf, trace.grad_norms[:cut]
+
+
+def fit_convergence_rate(trace):
     """Fit exponential and power-law models to the tail of the energy gap.
 
-    The limit energy is the final record; the last tenth of the records
-    is excluded (they define the limit and would bias the gap), as are
-    gaps at the rounding floor. Both models are fitted on the later half
+    The records before the limit (_gaps_to_limit) are used, less gaps at
+    the rounding floor 1e-13. Both models are fitted on the later half
     of what survives and compared by residual.
     """
-    e_inf = float(trace.energies[-1])
-    n = len(trace.times)
-    cutoff = max(1, int(np.floor(0.9 * n)))
-    t = trace.times[:cutoff]
-    gap = trace.energies[:cutoff] - e_inf
-    mask = gap > floor
+    e_inf, t, gap, _ = _gaps_to_limit(trace)
+    mask = gap > 1e-13
     t, gap = t[mask], gap[mask]
     if t.size < 20:
         raise ValueError(f"only {t.size} usable records after exclusions, need 20")
@@ -252,8 +256,10 @@ def fit_convergence_rate(trace, floor=1e-13):
 def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     """RK4 on dx/dt = -grad f for a polynomial f; trace of f and |grad f|."""
     x = np.asarray(x0, dtype=float).copy()
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("dt and t_max must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     n_steps = int(np.round(t_max / dt))
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)

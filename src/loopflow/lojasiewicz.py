@@ -76,14 +76,12 @@ def _usable(cloud):
     return v[mask], g[mask], int(np.sum(~mask))
 
 
-def _require_span(v, n_min=10, decades=2.0):
-    if v.size < n_min:
-        raise ValueError(f"need at least {n_min} usable pairs, have {v.size}")
+def _require_span(v):
+    if v.size < 10:
+        raise ValueError(f"need at least 10 usable pairs, have {v.size}")
     span = np.log10(np.max(v) / np.min(v))
-    if span < decades:
-        raise ValueError(
-            f"value gaps span {span:.2f} decades, need at least {decades:.0f}"
-        )
+    if span < 2.0:
+        raise ValueError(f"value gaps span {span:.2f} decades, need at least 2")
 
 
 def estimate_gradient_exponent(cloud):
@@ -151,11 +149,11 @@ def _sphere_directions(n_vars, count, rng):
     return np.concatenate([dirs, axes], axis=0)
 
 
-def _lower_envelope(v, g, bins_per_decade=4):
-    """Per-bin minima of g over log-spaced bins of v."""
+def _lower_envelope(v, g):
+    """Per-bin minima of g over log-spaced bins of v, 6 bins per decade."""
     lv = np.log10(v)
     lo, hi = float(np.min(lv)), float(np.max(lv))
-    n_bins = max(1, int(np.ceil((hi - lo) * bins_per_decade)))
+    n_bins = max(1, int(np.ceil((hi - lo) * 6)))
     edges = np.linspace(lo, hi, n_bins + 1)
     idx = np.clip(np.digitize(lv, edges) - 1, 0, n_bins - 1)
     keep_v, keep_g = [], []
@@ -169,25 +167,25 @@ def _lower_envelope(v, g, bins_per_decade=4):
     return np.array(keep_v), np.array(keep_g)
 
 
-def finite_dim_gradient_exponent(f, critical_point, radii, samples_per_radius=64, seed=0):
+def finite_dim_gradient_exponent(f, critical_point, radii, seed=0):
     """Brute-force theta for a polynomial near a critical point.
 
-    Samples spheres of the given radii and fits log |grad f| against
-    log |f - f(x*)| separately along every direction, reporting the
-    maximum of the directional slopes. The inequality must hold along
-    its worst direction, and that direction occupies a vanishing
-    fraction of a quasi-uniform cloud (x^2 + y^4 needs the y-axis, where
-    the ratio of exponents is 3/4 instead of the generic 1/2), so a
-    pooled regression would average it away. The constant is the largest
-    gap^theta / gradient over the whole cloud, the value the inequality
-    actually needs at the reported exponent.
+    Samples spheres of the given radii along 64 seeded directions and the
+    axes, fits log |grad f| against log |f - f(x*)| separately along every
+    direction, and reports the maximum of the directional slopes. The
+    inequality must hold along its worst direction, and that direction
+    occupies a vanishing fraction of a quasi-uniform cloud (x^2 + y^4 needs
+    the y-axis, where the ratio of exponents is 3/4 instead of the generic
+    1/2), so a pooled regression would average it away. The constant is the
+    largest gap^theta / gradient over the whole cloud, the value the
+    inequality actually needs at the reported exponent.
     """
     x0 = np.asarray(critical_point, dtype=float)
     if float(np.linalg.norm(f.gradient(x0))) > 1e-12:
         raise ValueError("critical_point fails |grad f| <= 1e-12")
     f0 = f.value(x0)
     rng = np.random.default_rng(seed)
-    dirs = _sphere_directions(f.n_vars, samples_per_radius, rng)
+    dirs = _sphere_directions(f.n_vars, 64, rng)
     radii = np.asarray(radii, dtype=float)
     pts = x0 + radii[:, None, None] * dirs[None, :, :]
     v = np.abs(f.value(pts) - f0)  # (n_radii, n_dirs)
@@ -217,17 +215,13 @@ def finite_dim_gradient_exponent(f, critical_point, radii, samples_per_radius=64
     )
 
 
-def _polish_zero(f, x, steps=1):
-    """Gauss-Newton step(s) toward f = 0 for the scalar equation."""
-    y = np.asarray(x, dtype=float).copy()
-    for _ in range(steps):
-        val = f.value(y)
-        grad = f.gradient(y)
-        gg = float(np.dot(grad, grad))
-        if gg < 1e-30:
-            break
-        y = y - (val / gg) * grad
-    return y
+def _polish_zero(f, x):
+    """One Gauss-Newton step toward f = 0 for the scalar equation."""
+    grad = f.gradient(x)
+    gg = float(np.dot(grad, grad))
+    if gg < 1e-30:
+        return x
+    return x - (f.value(x) / gg) * grad
 
 
 def _grid_points(box, per_axis):
@@ -236,18 +230,18 @@ def _grid_points(box, per_axis):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8, refine=4):
+def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8):
     """Brute-force (alpha, C) for dist(x, Z)^alpha <= C |f(x)| on a box.
 
-    The zero set is approximated on a refined grid (cells with |f| below
-    zero_tol, each polished by one Gauss-Newton step); distances from
-    the coarse grid to that set are binned, the per-bin minimum of |f|
-    gives the envelope whose slope is alpha.
+    The zero set is approximated on a grid four times finer (cells with
+    |f| below zero_tol, each polished by one Gauss-Newton step);
+    distances from the coarse grid to that set are binned, the per-bin
+    minimum of |f| gives the envelope whose slope is alpha.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != f.n_vars:
         raise ValueError("box dimension does not match the polynomial arity")
-    fine = _grid_points(box, refine * grid_n + 1)
+    fine = _grid_points(box, 4 * grid_n + 1)
     fine_vals = np.abs(f.value(fine))
     if float(np.min(fine_vals)) > 1e-10:
         raise ValueError("no zeros of f detected in the box")
@@ -262,24 +256,24 @@ def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8, refine=4):
     dists, vals = dists[mask], vals[mask]
     if dists.size < 4:
         raise ValueError("too few off-zero grid samples to fit")
-    env_d, env_f = _lower_envelope(dists, vals, bins_per_decade=6)
-    slope, _, _, _ = _ols(np.log(env_d), np.log(env_f))
-    alpha = slope
+    env_d, env_f = _lower_envelope(dists, vals)
+    alpha, _, _, _ = _ols(np.log(env_d), np.log(env_f))
     constant = float(np.max(dists**alpha / vals))
     return alpha, constant
 
 
-def integrability_probe(sweep, tolerance=1e-4):
+def integrability_probe(sweep):
     """Check whether the reduced function vanishes identically near 0.
 
     Reads |f(xi)| on kernel spheres from the records of a
     reduction.sandwich_sweep; the verdict is integrable when the maximum
-    at every radius r stays below tolerance * r^2, the decay a genuinely
-    flat reduced function shows but an isolated-degenerate one (quartic
-    well) cannot. Samples whose Newton solve failed count as
+    at every radius r stays below tolerance * r^2 = 1e-4 r^2, the decay a
+    genuinely flat reduced function shows but an isolated-degenerate one
+    (quartic well) cannot. Samples whose Newton solve failed count as
     newton_failures and are left out of the maximum.
     """
     spr = sweep["samples_per_radius"]
+    tolerance = 1e-4
     per_radius = []
     for i, r in enumerate(sweep["radii"]):
         values = [rec["abs_f"] for rec in sweep["records"][i * spr : (i + 1) * spr]]

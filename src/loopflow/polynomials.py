@@ -84,7 +84,7 @@ def polynomial(terms, n_vars=None):
     return Polynomial(n_vars=seen_arity, terms=tuple(items))
 
 
-def from_term_list(pairs, n_vars=None):
+def from_term_list(pairs):
     """Build from [[exponents, coefficient], ...] as found in config files."""
     terms = {}
     for entry in pairs:
@@ -93,4 +93,4 @@ def from_term_list(pairs, n_vars=None):
         exps, coef = entry
         key = tuple(int(e) for e in exps)
         terms[key] = terms.get(key, 0.0) + float(coef)
-    return polynomial(terms, n_vars=n_vars)
+    return polynomial(terms)

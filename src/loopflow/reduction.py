@@ -59,6 +59,7 @@ _GAP_FACTOR = 10.0
 _NEWTON_BASIN = 0.1
 _NOISE_FLOOR = 1e-9
 _SANDWICH_BAND = (0.4, 2.1)
+_XI_RADIUS = 0.05
 # A chord step is kept while it cuts the residual by at least this factor.
 _CHORD_RATIO = 0.5
 
@@ -74,10 +75,8 @@ class ReductionWorkspace:
     chord_inverse: np.ndarray     # (m, m) (P_K + L(0))^{-1} on frame coords
     kernel: np.ndarray            # (m, l) kernel in frame coords
     kernel_eigenvalues: np.ndarray
-    kernel_tol: float
     newton_tol: float
     newton_max_iter: int
-    xi_radius: float
     spectral_radius: float
     threshold: float
     discarded_min: float
@@ -144,7 +143,6 @@ def build_reduction_workspace(
     kernel_tol=1e-6,
     newton_tol=1e-10,
     newton_max_iter=50,
-    xi_radius=0.05,
 ):
     L_frame, asymmetry = frame_linearization(bundle, functional)
     kernel, vals, chord_inverse, radius, threshold, discarded_min, gap_ratio = _spectral_split(
@@ -158,10 +156,8 @@ def build_reduction_workspace(
         chord_inverse=chord_inverse,
         kernel=kernel,
         kernel_eigenvalues=vals,
-        kernel_tol=float(kernel_tol),
         newton_tol=float(newton_tol),
         newton_max_iter=int(newton_max_iter),
-        xi_radius=float(xi_radius),
         spectral_radius=radius,
         threshold=threshold,
         discarded_min=discarded_min,
@@ -291,12 +287,12 @@ def invert_N(workspace, f, return_info=False):
 
 
 def reduced_section(workspace, xi):
-    """Psi applied to the kernel combination of xi."""
+    """Psi applied to the kernel combination of xi, for |xi| < 0.05."""
     xi = np.asarray(xi, dtype=float)
-    if np.linalg.norm(xi) >= workspace.xi_radius:
+    if np.linalg.norm(xi) >= _XI_RADIUS:
         raise ValueError(
             f"|xi| = {np.linalg.norm(xi):.3f} outside the reduced-chart radius "
-            f"{workspace.xi_radius}"
+            f"{_XI_RADIUS}"
         )
     return invert_N(workspace, kernel_combination(workspace, xi))
 
@@ -325,25 +321,25 @@ def reduced_gradient(workspace, xi):
     return _gradient_at(workspace, u, mf)
 
 
-def sandwich_check(workspace, xi, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND):
-    """Ratio ||M_F(Psi(xi.phi))|| / |grad f(xi)| and its band status.
+def sandwich_check(workspace, xi):
+    """Ratio ||M_F(Psi(xi.phi))|| / |grad f(xi)|, "pass" inside [0.4, 2.1] or "fail".
 
     Status is "indeterminate" when either side sits below the noise
-    floor: near an integrable critical manifold both vanish and the
+    floor 1e-9: near an integrable critical manifold both vanish and the
     ratio is meaningless.
     """
-    return _sandwich_at(workspace, reduced_section(workspace, xi), noise_floor, band)
+    return _sandwich_at(workspace, reduced_section(workspace, xi))
 
 
-def _sandwich_at(workspace, u, noise_floor=_NOISE_FLOOR, band=_SANDWICH_BAND):
+def _sandwich_at(workspace, u):
     """sandwich_check at u = Psi(xi.phi), already solved."""
     mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
     m_norm = l2_norm(mf)
     g_norm = float(np.linalg.norm(_gradient_at(workspace, u, mf)))
-    if g_norm < noise_floor or m_norm < noise_floor:
+    if g_norm < _NOISE_FLOOR or m_norm < _NOISE_FLOOR:
         return np.nan, "indeterminate"
     ratio = m_norm / g_norm
-    status = "pass" if band[0] <= ratio <= band[1] else "fail"
+    status = "pass" if _SANDWICH_BAND[0] <= ratio <= _SANDWICH_BAND[1] else "fail"
     return ratio, status
 
 
@@ -361,13 +357,13 @@ def approximation_check(workspace, u):
 # -- sampled sweeps for reports and acceptance -----------------------------
 
 
-def _random_fiber_field(bundle, rng, modes=4):
+def _random_fiber_field(bundle, rng):
     """Seeded low-frequency section: the fiber projection of the sum over
-    m = 1..modes of a_m cos(m theta) + b_m sin(m theta), with a_m and b_m
+    m = 1..4 of a_m cos(m theta) + b_m sin(m theta), with a_m and b_m
     drawn uniform on (-1, 1)^p."""
     theta = bundle.mesh.node_angles
     field = np.zeros_like(bundle.base_map)
-    for m in range(1, modes + 1):
+    for m in range(1, 5):
         coef = rng.uniform(-1.0, 1.0, size=(2, field.shape[1]))
         field += np.outer(np.cos(m * theta), coef[0]) + np.outer(np.sin(m * theta), coef[1])
     return project_section(bundle, field)
@@ -382,10 +378,11 @@ def _random_smooth_section(bundle, rng):
     return section(bundle, sec.values / norm)
 
 
-def lipschitz_probe(workspace, n_pairs=50, amplitude=0.01, seed=0):
-    """Ratios ||Psi(f1)-Psi(f2)||_{W22} / ||f1-f2||_{L2} over random pairs."""
+def lipschitz_probe(workspace, n_pairs=50, seed=0):
+    """Ratios ||Psi(f1)-Psi(f2)||_{W22} / ||f1-f2||_{L2} over random pairs of norm 0.01."""
     rng = np.random.default_rng(seed)
     bundle = workspace.bundle
+    amplitude = 0.01
     ratios = []
     for _ in range(n_pairs):
         s1 = _random_smooth_section(bundle, rng)
@@ -410,18 +407,19 @@ def lipschitz_probe(workspace, n_pairs=50, amplitude=0.01, seed=0):
     }
 
 
-def approximation_sweep(
-    workspace, amplitudes=(0.04, 0.02, 0.01), n_directions=5, seed=0, floor=1e-14
-):
-    """Log-log slope of |F(u) - F(Psi(P_K u))| against ||M_F(u)||.
+def approximation_sweep(workspace, seed=0):
+    """Log-log slope of |F(u) - F(Psi(P_K u))| against ||M_F(u)||, over
+    5 seeded directions at L2 amplitudes 0.04, 0.02 and 0.01.
 
     Each sampled direction has its own constant, so `slope` is the one
     slope common to all directions, fitted with a separate intercept per
     direction; `direction_slopes` holds each direction's own slope (None
-    where fewer than two of its samples clear the floor).
+    where fewer than two of its samples clear the floor 1e-14).
     """
     rng = np.random.default_rng(seed)
     bundle = workspace.bundle
+    amplitudes = (0.04, 0.02, 0.01)
+    n_directions = 5
     lhs_all, m_all, direction = [], [], []
     for k in range(n_directions):
         v = _random_smooth_section(bundle, rng)
@@ -429,7 +427,7 @@ def approximation_sweep(
             u = section(bundle, amp * v.values)
             lhs, rhs = approximation_check(workspace, u)
             m_norm = np.sqrt(rhs)
-            if lhs > floor and m_norm > floor:
+            if lhs > 1e-14 and m_norm > 1e-14:
                 lhs_all.append(lhs)
                 m_all.append(m_norm)
                 direction.append(k)

@@ -289,15 +289,16 @@ class TargetManifold:
         n = n / np.linalg.norm(n)
         return np.eye(self.ambient_dim) - np.outer(n, n)
 
-    def second_fundamental_form(self, y, X, Y, tol=1e-8):
-        """A_y(X, Y) = -<X, 2 Y / a^2> / |grad G| n, for tangent X and Y."""
+    def second_fundamental_form(self, y, X, Y):
+        """A_y(X, Y) = -<X, 2 Y / a^2> / |grad G| n, for X and Y tangent to
+        within 1e-8 relative."""
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         self.require_on_manifold(y, what="curvature base point")
         P = self.tangent_projector(y)
-        scale = max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)))
-        if np.linalg.norm(P @ X - X) > tol * scale or np.linalg.norm(P @ Y - Y) > tol * scale:
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)))
+        if np.linalg.norm(P @ X - X) > tol or np.linalg.norm(P @ Y - Y) > tol:
             raise ValueError("second_fundamental_form needs tangent input vectors")
         return _shape_form(self, y, X, Y)
 

@@ -378,6 +378,12 @@ def test_finite_dim_flow_guards():
         finite_dim_flow(f, [1.0], dt=0.0)
     with pytest.raises(ValueError):
         finite_dim_flow(f, [1.0], t_max=-1.0)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            finite_dim_flow(f, [1.0], dt=dt)
+    for t_max in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            finite_dim_flow(f, [1.0], t_max=t_max)
     hill = polynomial({(2,): -1.0})
     with pytest.raises(RuntimeError, match="diverged"):
         finite_dim_flow(hill, [1.0], dt=1e-2, t_max=10.0)

@@ -291,6 +291,15 @@ def test_reduced_section_radius_guard(energy_ws):
         reduced_section(energy_ws, np.array([0.2, 0.0, 0.0]))
 
 
+def test_reduced_chart_radius_is_0_05(energy_ws):
+    direction = np.array([0.0, 1.0, 0.0])
+    u = reduced_section(energy_ws, 0.049 * direction)
+    assert np.all(np.isfinite(u.values))
+    for r in (0.05, 0.06):
+        with pytest.raises(ValueError, match="reduced-chart radius"):
+            reduced_section(energy_ws, r * direction)
+
+
 def test_reduced_function_vanishes_for_integrable_case(energy_ws):
     # the chart-energy functional is integrable: the kernel directions
     # move along the critical manifold of rotated great circles, so the

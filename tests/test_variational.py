@@ -210,8 +210,6 @@ def test_first_variation_input_checks():
     st = great_circle(32)
     with pytest.raises(ValueError, match="shape"):
         first_variation_check(st, np.zeros((31, 3)))
-    with pytest.raises(ValueError, match="step"):
-        first_variation_check(st, np.zeros((32, 3)), step=0.0)
 
 
 # -- functional specs and the general assembly ------------------------------
