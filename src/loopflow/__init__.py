@@ -8,6 +8,21 @@ verifier of the classical gradient and distance inequalities for
 polynomials.
 """
 
+import os
+import sys
+
+# The package's matrices are small (64 x 64 at n = 32, 1024 x 1024 at
+# n = 512), and OpenBLAS's default thread pool makes them slower: on a
+# 2-core host one eigh of a 64 x 64 matrix took 38-56 ms with the pool
+# and 0.4-0.6 ms on one thread, and its idle helper threads spin, so a
+# run's CPU time exceeded its wall time. So OpenBLAS runs on one thread
+# unless numpy was imported first or the environment already sets a
+# thread count; set OPENBLAS_NUM_THREADS to get threads back.
+if "numpy" not in sys.modules and not any(
+    k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .bundles import (
     BundleSection,
     PullbackBundle,

@@ -254,13 +254,19 @@ def fit_convergence_rate(trace):
 
 
 def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
-    """RK4 on dx/dt = -grad f for a polynomial f; trace of f and |grad f|."""
+    """RK4 on dx/dt = -grad f for a polynomial f; trace of f and |grad f|.
+
+    dt must divide t_max (to 1e-9 relative), so the trace ends at t_max.
+    """
     x = np.asarray(x0, dtype=float).copy()
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
-    n_steps = int(np.round(t_max / dt))
+    ratio = t_max / dt
+    n_steps = int(np.round(ratio))
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError("dt must divide t_max")
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
     grads = np.empty(n_steps + 1)

@@ -3,9 +3,13 @@ inversion, and the reduced function on the kernel.
 
 The linearization L(0) lives on fiber-frame coordinates (p-1 per node),
 which quotients out the ambient normal directions, so eigendecomposing
-it sees only the section space. Kernel vectors are kept when their
-eigenvalue is below a relative threshold; a threshold that keeps them
-all, or no tenfold spectral gap to the discarded ones, fails loudly.
+it sees only the section space. It and every Jacobian P_K + L(u) come
+from the functional's linearization routine: closed form for the chart
+energy and its quartic penalty, so a chart-energy reduction differences
+no field; only a generic integrand's Jacobian is probed. Kernel vectors
+are kept when their eigenvalue is below a relative threshold; a
+threshold that keeps them all, or no tenfold spectral gap to the
+discarded ones, fails loudly.
 
 The kernel is held as one (m, l) matrix K of frame coordinates, and all
 Newton work happens in frame coordinates. The quadrature weight is
@@ -53,7 +57,8 @@ __all__ = [
     "sandwich_sweep",
 ]
 
-# Relative to the spectral radius; differencing leaves ~6e-11 at any n.
+# Relative to the spectral radius. The closed forms are symmetric to
+# round-off; probing a generic integrand leaves ~6e-11 at any n.
 _SYMMETRY_TOL = 1e-5
 _GAP_FACTOR = 10.0
 _NEWTON_BASIN = 0.1

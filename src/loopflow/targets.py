@@ -5,11 +5,13 @@ quantity has one closed form, vectorized over stacked rows; the sphere is
 the ellipsoid with unit semi-axes. The nearest point of x is
 Pi(x) = a^2 x / (a^2 + t), with the Lagrange multiplier t solved for all
 rows at once by a safeguarded Newton iteration. Implicit differentiation
-of that formula gives the differential dPi_x, a symmetric matrix, and the
-level set G(y) = sum y^2 / a^2 - 1 gives the unit normal and the second
-fundamental form. The sphere keeps two shortcuts, x / |x| for Pi and its
-three-operation dPi, because they are cheaper on the flow's hot path;
-projection computes |x| once, for the tube check and the division. The
+of that formula gives the differential dPi_x, a symmetric matrix, and
+once more the derivative of x -> dPi_x(g) for fixed g, which the chart
+energy's linearization uses. The level set G(y) = sum y^2 / a^2 - 1
+gives the unit normal and the second fundamental form. The sphere keeps
+two shortcuts, x / |x| for Pi and its three-operation dPi, because they
+are cheaper on the flow's hot path; projection computes |x| once, for
+the tube check and the division. The
 tension field's curvature term takes the tangent part of Du and
 contracts the shape operator with it from one unit normal per point. A
 tube radius below the reach a_min^2 / a_max bounds the neighborhood on
@@ -278,6 +280,40 @@ class TargetManifold:
         w = a2 * x / (d * d)
         dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / d, axis=-1, keepdims=True)
         return a2 * v / d - dt * w
+
+    def _differential_jet(self, x, g, s):
+        """(dPi_x, H_x(g)) as (n, p, p) stacks for (n, p) rows x and g, with
+        s the scale of x that _tube returned: the differential of projection
+        and the derivative of x -> dPi_x(g) with g held fixed.
+
+        One formula serves both kinds. With d = a^2 + t (d = |x| and a^2 = 1
+        on a sphere), w = a^2 x / d^2 and beta = <w, x / d>, implicit
+        differentiation of the multiplier's equation gives grad t = w / beta
+        and dPi = diag(a^2 / d) - w w^T / beta; differentiating dPi g along
+        v, with <grad t, v> entering d, beta and w, gives H. H is symmetric
+        because Pi is the gradient of (|x|^2 - dist(x)^2) / 2.
+        """
+        a2 = self._a2
+        d = s if self.kind == "sphere" else a2 + s
+        w = a2 * x / (d * d)
+        wd = w / d
+        beta = np.add.reduce(wd * x, -1)[:, None, None]
+        gamma = np.add.reduce(wd * x / d, -1)[:, None, None]
+        c = np.add.reduce(w * g, -1)[:, None, None]
+        cg = np.add.reduce(wd * g, -1)[:, None, None]
+        u = a2 * g / (d * d)
+        eye = np.eye(x.shape[-1])
+        ww = w[:, :, None] * w[:, None, :]
+        dpi = eye * (a2 / d)[:, None, :] - ww / beta
+        uw = u[:, :, None] * w[:, None, :]
+        wdw = wd[:, :, None] * w[:, None, :]
+        hess = (
+            -(uw + uw.transpose(0, 2, 1)) / beta
+            - (c / beta) * eye * (a2 / (d * d))[:, None, :]
+            + (2.0 * c / beta**2) * (wdw + wdw.transpose(0, 2, 1))
+            + (2.0 * cg / beta**2 - 3.0 * c * gamma / beta**3) * ww
+        )
+        return dpi, hess
 
     # -- tangent projector and curvature -----------------------------------
 

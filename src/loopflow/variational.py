@@ -10,20 +10,24 @@ every stage of the flow go through that one function, with the mesh's
 bound stencils and the target's bound curvature term.
 
 A functional over a pullback bundle is an integrand F(theta, z, eta)
-together with two routines on nodal section values: its value and its
-Euler-Lagrange field. For a generic integrand, make_functional_spec
+together with three routines on nodal section values: its value, its
+Euler-Lagrange field and the linearization of that field in the
+bundle's fiber frames. For a generic integrand, make_functional_spec
 checks the partials in the z and eta slots against the differenced
 integrand and builds the routines as a staggered (midpoint-flux)
-quadrature of the integrand and the exact gradient of that quadrature,
+quadrature of the integrand, the exact gradient of that quadrature,
 which makes the discrete duality <M_F(u), v> = d/ds F(u + s v) exact up
-to rounding. The energy functional of a chart builds them from the
-energy itself: the value composes the chart with the energy, and the
-gradient differentiates a compact-stencil energy through the chart, so
-loops that are exact critical points of the discrete energy stay exact
-critical points of the reduced machinery. with_quartic_penalty adds a
-node-by-node quartic term to either kind. In every case the field at
-node j reads only nodes j-1, j and j+1, which is what lets
-frame_linearization probe the Jacobian as a band of radius 1.
+to rounding, and the Jacobian of that gradient probed by differences.
+The energy functional of a chart builds them from the energy itself:
+the value composes the chart with the energy, the gradient
+differentiates a compact-stencil energy through the chart, so loops
+that are exact critical points of the discrete energy stay exact
+critical points of the reduced machinery, and the linearization is the
+closed-form derivative of that gradient. with_quartic_penalty adds a
+node-by-node quartic term, with its closed-form Jacobian, to either
+kind. So only a generic integrand is probed. In every case the field at
+node j reads only nodes j-1, j and j+1: the linearization is
+block-tridiagonal, and the probing fills it as a band of radius 1.
 """
 
 from dataclasses import dataclass
@@ -171,11 +175,15 @@ class FunctionalSpec:
     """An integrand with the routines that evaluate and differentiate it.
 
     The integrand has signature (theta, z, eta) with z and eta ambient
-    vectors; ellipticity_check reads it. value_fn(bundle, values) and
-    euler_lagrange_fn(bundle, values) take the nodal values of a section:
-    the first returns the functional's value, normalized so F(0) = 0, and
-    the second its raw Euler-Lagrange field, which general_euler_lagrange
-    projects into the fibers.
+    vectors; ellipticity_check reads it. value_fn(bundle, values),
+    euler_lagrange_fn(bundle, values) and linearization_fn(bundle, values)
+    take the nodal values of a section: the first returns the
+    functional's value, normalized so F(0) = 0, the second its raw
+    Euler-Lagrange field, which general_euler_lagrange projects into the
+    fibers, and the third the raw (unsymmetrized) Jacobian of that field
+    on frame coordinates, which frame_linearization symmetrizes. The
+    chart energy and its quartic penalty give the Jacobian in closed
+    form; only a generic integrand's is probed by differences.
     """
 
     label: str
@@ -183,6 +191,7 @@ class FunctionalSpec:
     validity_radius: float
     value_fn: Callable
     euler_lagrange_fn: Callable
+    linearization_fn: Callable
 
 
 def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3, probe_dim=3):
@@ -192,7 +201,8 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
     The value is the staggered (midpoint) quadrature of the integrand.
     The Euler-Lagrange field differentiates that quadrature: node j
     receives the averaged z-partial minus the difference of the
-    fiber-projected eta-flux.
+    fiber-projected eta-flux. Its linearization is probed by
+    _probed_linearization.
     """
     if validity_radius <= 0.0:
         raise ValueError("validity_radius must be positive")
@@ -222,7 +232,10 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
         flux_prev = flux.take(prev, axis=0)
         return 0.5 * (fz + fz_prev) - (flux - flux_prev) / bundle.mesh.spacing
 
-    return FunctionalSpec(label, integrand, float(validity_radius), value_fn, el_fn)
+    def linearization_fn(bundle, values):
+        return _probed_linearization(bundle, el_fn, values)
+
+    return FunctionalSpec(label, integrand, float(validity_radius), value_fn, el_fn, linearization_fn)
 
 
 def _validate_partials(label, integrand, partial_z, partial_eta, dim):
@@ -302,10 +315,12 @@ def energy_functional_on_bundle(bundle):
     second-order part is the compact three-point Laplacian regardless of
     the mesh's differentiation order, which keeps the spectrum of the
     linearization monotone in frequency and leaves loops that are exact
-    discrete critical points exactly critical here as well. Both routines
-    raise ValueError when called with a bundle other than this one, whose
-    energy the value subtracts. A base map with tangential tension norm
-    above 0.05 max(1, sqrt(E(phi0))) is not near-harmonic and raises.
+    discrete critical points exactly critical here as well. The
+    linearization is that gradient's closed-form derivative. Every
+    routine raises ValueError when called with a bundle other than this
+    one, whose energy the value subtracts. A base map with tangential
+    tension norm above 0.05 max(1, sqrt(E(phi0))) is not near-harmonic
+    and raises.
     """
     mesh, target = bundle.mesh, bundle.target
     base = bundle.base_map
@@ -336,6 +351,24 @@ def energy_functional_on_bundle(bundle):
         # ellipsoid multiplier).
         return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), scale)
 
+    def linearization_fn(bnd, values):
+        # el = dPi(x) g with g = -2 Delta_c Pi(x), so its Jacobian is
+        # H(g) + dPi (-2 Delta_c) dPi: node blocks F^T H F + 4/h^2 B^T B and
+        # neighbour couplings -2/h^2 B_j^T B_j+1, with B = dPi F.
+        require_own(bnd)
+        x = bnd.base_map + values
+        points, scale = bnd.target._nearest(x)
+        g = -2.0 * laplace_beltrami(compact, points)
+        dpi, hess = bnd.target._differential_jet(x, g, scale)
+        frames = bnd.frames
+        B = np.einsum("nij,nja->nia", dpi, frames)
+        h2 = bnd.mesh.spacing ** 2
+        diag = np.einsum("nia,nij,njb->nab", frames, hess, frames)
+        diag += (4.0 / h2) * np.einsum("nia,nib->nab", B, B)
+        nxt = _neighbour_index(len(values), 1)[0]
+        upper = (-2.0 / h2) * np.einsum("nia,nib->nab", B, B.take(nxt, axis=0))
+        return _block_tridiagonal(diag, upper)
+
     gbase = differentiate(mesh, base)
     kmats = differentiate(mesh, bundle.projectors)
     h = mesh.spacing
@@ -361,13 +394,15 @@ def energy_functional_on_bundle(bundle):
         validity_radius=0.9 * target.tube_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
+        linearization_fn=linearization_fn,
     )
 
 
 def with_quartic_penalty(functional, weight):
     """Add a pointwise quartic |z|^4 term to a functional: value,
-    gradient and integrand. The gradient term is node by node, so the
-    field keeps its stencil radius of 1.
+    gradient, linearization and integrand. The gradient term is node by
+    node, so the field keeps its stencil radius of 1, and its Jacobian
+    4 w (|z|^2 I + 2 z z^T) adds to the diagonal blocks only.
 
     The penalty's Hessian vanishes at the zero section, so the kernel of
     the linearization is untouched while the reduced function picks up a
@@ -378,6 +413,7 @@ def with_quartic_penalty(functional, weight):
     w = float(weight)
     base_value = functional.value_fn
     base_el = functional.euler_lagrange_fn
+    base_linearization = functional.linearization_fn
 
     def value_fn(bnd, values):
         q = np.sum(values * values, axis=1) ** 2
@@ -386,6 +422,17 @@ def with_quartic_penalty(functional, weight):
     def el_fn(bnd, values):
         nsq = np.sum(values * values, axis=1, keepdims=True)
         return base_el(bnd, values) + 4.0 * w * nsq * values
+
+    def linearization_fn(bnd, values):
+        # the Jacobian of 4 w |v|^2 v is 4 w (|v|^2 I + 2 v v^T), node by node
+        L = base_linearization(bnd, values)
+        c = _to_coords(bnd, values).reshape(len(values), -1)
+        n, q = c.shape
+        nsq = np.sum(values * values, axis=1)[:, None, None]
+        blocks = 4.0 * w * (nsq * np.eye(q) + 2.0 * c[:, :, None] * c[:, None, :])
+        j = np.arange(n)
+        L.reshape(n, q, n, q)[j, :, j, :] += blocks
+        return L
 
     def integrand(theta, z, eta):
         zz = float(np.sum(np.asarray(z) ** 2))
@@ -397,6 +444,7 @@ def with_quartic_penalty(functional, weight):
         validity_radius=functional.validity_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
+        linearization_fn=linearization_fn,
     )
 
 
@@ -432,24 +480,40 @@ def _arc_colouring(n, separation):
 
 def frame_linearization(bundle, functional, at_values=None):
     """Symmetrized matrix of the Euler-Lagrange linearization in the
-    bundle's fiber frames.
+    bundle's fiber frames, at the section values at_values (default the
+    zero section), with its raw asymmetry.
 
-    Columns are centered differences (step 1e-6) of the assembled field
-    along the frame directions; the matrix acts on frame coordinates
-    (node-major, p-1 per node) and is returned with its raw asymmetry.
-    Every field assembled here has stencil radius 1: the staggered
-    assembly reads nodes j-1, j and j+1 by construction, the chart
-    energy's gradient uses the compact three-point Laplacian at either
-    mesh order, and the quartic term is node by node. So nodes three or
-    more apart answer in disjoint row windows, the nodes are coloured by
-    their offset inside 3-long arcs of the circle, and one difference
-    probe per colour and frame direction fills all of that colour's
-    columns (Curtis, Powell and Reid).
+    The matrix acts on frame coordinates (node-major, p-1 per node) and
+    comes from the functional's linearization_fn: in closed form for the
+    chart energy and its quartic penalty, by _probed_linearization for a
+    generic integrand.
+    """
+    n, p = bundle.base_map.shape
+    values = project_section(bundle, np.zeros((n, p)) if at_values is None else at_values).values
+    _require_validity(functional, values)
+    L = functional.linearization_fn(bundle, values)
+    asym = float(np.max(np.abs(L - L.T)))
+    return 0.5 * (L + L.T), asym
+
+
+def _probed_linearization(bundle, euler_lagrange_fn, at_values):
+    """Raw frame matrix of the linearization of euler_lagrange_fn at
+    at_values, by centered differences (step 1e-6) along the frame
+    directions: the linearization of a generic integrand, and the test
+    oracle of the closed forms.
+
+    Every field probed here has stencil radius 1: the staggered assembly
+    reads nodes j-1, j and j+1 by construction, the chart energy's
+    gradient uses the compact three-point Laplacian at either mesh order,
+    and the quartic term is node by node. So nodes three or more apart
+    answer in disjoint row windows, the nodes are coloured by their
+    offset inside 3-long arcs of the circle, and one difference probe per
+    colour and frame direction fills all of that colour's columns
+    (Curtis, Powell and Reid). The frames read only the fiber part of
+    each difference.
     """
     n, p = bundle.base_map.shape
     q = p - 1
-    if at_values is None:
-        at_values = np.zeros((n, p))
     frames = bundle.frames
     m = n * q
     L = np.zeros((m, m))
@@ -461,16 +525,26 @@ def frame_linearization(bundle, functional, at_values=None):
         for a in range(q):
             d = np.zeros((n, p))
             d[group] = frames[group, :, a]
-            vp = project_section(bundle, at_values + step * d)
-            vm = project_section(bundle, at_values - step * d)
-            col = (
-                general_euler_lagrange(bundle, functional, vp).values
-                - general_euler_lagrange(bundle, functional, vm).values
-            ) / (2.0 * step)
+            vp = project_section(bundle, at_values + step * d).values
+            vm = project_section(bundle, at_values - step * d).values
+            col = (euler_lagrange_fn(bundle, vp) - euler_lagrange_fn(bundle, vm)) / (2.0 * step)
             block = np.einsum("gwjb,gwj->gwb", frames[rows], col[rows])
             L[row_index, (group * q + a)[:, None, None]] = block
-    asym = float(np.max(np.abs(L - L.T)))
-    return 0.5 * (L + L.T), asym
+    return L
+
+
+def _block_tridiagonal(diag, upper):
+    """Dense (n q, n q) matrix with diag[j] as node j's (q, q) block,
+    upper[j] coupling node j to node j+1 (cyclically) and its transpose
+    coupling j+1 back to j."""
+    n, q, _ = diag.shape
+    L = np.zeros((n, q, n, q))
+    j = np.arange(n)
+    nxt = _neighbour_index(n, 1)[0]
+    L[j, :, j, :] = diag
+    L[j, :, nxt, :] = upper
+    L[nxt, :, j, :] = upper.transpose(0, 2, 1)
+    return L.reshape(n * q, n * q)
 
 
 def quadratic_remainder_check(bundle, functional, s1, s2, lin=None):

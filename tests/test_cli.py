@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loopflow
 from loopflow import cli
 from loopflow.cli import main, make_initial_map
 from loopflow.config import parse_config
@@ -300,3 +303,29 @@ def test_finite_verify_artifacts(tmp_path):
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["render", "--config", "missing.json"])
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, imports, expected",
+    [
+        ({}, "loopflow", "1"),
+        ({"OMP_NUM_THREADS": "2"}, "loopflow", "unset"),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "loopflow", "3"),
+        ({}, "numpy, loopflow", "unset"),
+    ],
+    ids=["clean", "omp_set", "openblas_set", "numpy_first"],
+)
+def test_import_defaults_openblas_to_one_thread(preset, imports, expected):
+    # a fresh interpreter, so that numpy is not loaded before loopflow
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(loopflow.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(preset)
+    code = f"import os, {imports}; print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == expected

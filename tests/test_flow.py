@@ -384,6 +384,11 @@ def test_finite_dim_flow_guards():
     for t_max in (np.nan, np.inf):
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             finite_dim_flow(f, [1.0], t_max=t_max)
+    # a step that does not divide the horizon used to be rounded away:
+    # one record for dt = 1000, and a trace stopping at t = 0.9 for dt = 0.3
+    for dt, t_max in ((1000.0, 100.0), (0.3, 1.0)):
+        with pytest.raises(ValueError, match="dt must divide t_max"):
+            finite_dim_flow(f, [1.0], dt=dt, t_max=t_max)
     hill = polynomial({(2,): -1.0})
     with pytest.raises(RuntimeError, match="diverged"):
         finite_dim_flow(hill, [1.0], dt=1e-2, t_max=10.0)

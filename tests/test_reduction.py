@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loopflow import reduction
+from loopflow import reduction, variational
 from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, section
 from loopflow.flow import _common_slope
 from loopflow.lojasiewicz import integrability_probe
@@ -29,6 +29,7 @@ from loopflow.reduction import (
 )
 from loopflow.targets import TargetManifold
 from loopflow.variational import (
+    _probed_linearization,
     energy_functional_on_bundle,
     frame_linearization,
     with_quartic_penalty,
@@ -131,8 +132,14 @@ def test_asymmetric_linearization_is_rejected():
     b = equator_bundle(32)
     func = energy_functional_on_bundle(b)
     el = func.euler_lagrange_fn
+
+    def skewed_el(bnd, v):
+        return el(bnd, v) + np.roll(v, 1, axis=0)
+
     skewed = dataclasses.replace(
-        func, euler_lagrange_fn=lambda bnd, v: el(bnd, v) + np.roll(v, 1, axis=0)
+        func,
+        euler_lagrange_fn=skewed_el,
+        linearization_fn=lambda bnd, v: _probed_linearization(bnd, skewed_el, v),
     )
     with pytest.raises(ValueError, match="asymmetry"):
         build_reduction_workspace(b, skewed)
@@ -491,3 +498,23 @@ def test_great_circle_kernel_in_higher_spheres_is_spanned_by_rotations(p):
     assert len(fields) == 2 * p - 3
     for field in fields:
         assert l2_norm(project_onto_kernel(ws, field)) >= (1.0 - 1e-8) * l2_norm(field)
+
+
+def test_chart_energy_workspaces_never_probe(monkeypatch):
+    # the chart energy and its quartic penalty linearize in closed form:
+    # building, differentiating and checking their reductions differences
+    # no field
+    def no_probing(*args, **kwargs):
+        raise AssertionError("a chart-energy linearization was probed")
+
+    monkeypatch.setattr(variational, "_probed_linearization", no_probing)
+    sphere = equator_bundle(32)
+    ellipsoid = equator_bundle(32, TargetManifold.ellipsoid((1.0, 1.0, 1.3)), diff_order=4)
+    for b, weight in ((sphere, None), (ellipsoid, None), (sphere, 5.0)):
+        func = energy_functional_on_bundle(b)
+        if weight is not None:
+            func = with_quartic_penalty(func, weight)
+        ws = build_reduction_workspace(b, func)
+        xi = np.full(ws.kernel_dim, 0.01)
+        assert np.all(np.isfinite(reduced_gradient(ws, xi)))
+        assert sandwich_check(ws, xi)[1] in ("pass", "fail", "indeterminate")

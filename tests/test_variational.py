@@ -14,6 +14,7 @@ from loopflow.targets import TargetManifold, curvature_contraction
 from loopflow.variational import (
     MapState,
     _arc_colouring,
+    _probed_linearization,
     ellipticity_check,
     energy,
     energy_functional_on_bundle,
@@ -558,9 +559,11 @@ def dense_frame_linearization(b, func, at_values, step=1e-6):
 
 
 def assert_banded_equals_dense(b, func=None, at_values=None):
+    """The coloured probing of _probed_linearization against the dense oracle."""
     func = energy_functional_on_bundle(b) if func is None else func
     at_values = np.zeros_like(b.base_map) if at_values is None else at_values
-    L_band, asym_band = frame_linearization(b, func, at_values=at_values)
+    raw = _probed_linearization(b, func.euler_lagrange_fn, at_values)
+    L_band, asym_band = 0.5 * (raw + raw.T), float(np.max(np.abs(raw - raw.T)))
     L_dense, asym_dense = dense_frame_linearization(b, func, at_values)
     np.testing.assert_allclose(L_band, L_dense, atol=1e-8)
     assert asym_band < 1e-4
@@ -603,6 +606,47 @@ def test_frame_linearization_equals_dense_away_from_the_zero_section(kind):
         func, amplitude = with_quartic_penalty(energy_functional_on_bundle(b), 5.0), 0.05
     at_values = project_section(b, amplitude * rng.standard_normal((n, 3))).values
     assert_banded_equals_dense(b, func, at_values)
+
+
+def constant_speed_equator(mesh, target):
+    """The target's section by the (x, y) plane, a closed geodesic, at
+    constant speed: a near-harmonic loop on every target used here."""
+    a, b = target.semi_axes[:2]
+    phi = np.linspace(0.0, 2.0 * np.pi, 4097)
+    speed = np.hypot(a * np.sin(phi), b * np.cos(phi))
+    arc = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(phi))])
+    ph = np.interp(mesh.node_angles * arc[-1] / (2.0 * np.pi), arc, phi)
+    base = np.zeros((mesh.n_nodes, target.ambient_dim))
+    base[:, 0], base[:, 1] = a * np.cos(ph), b * np.sin(ph)
+    return base
+
+
+@pytest.mark.parametrize("n", [25, 32])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "target",
+    [
+        TargetManifold.sphere(3),
+        TargetManifold.sphere(4),
+        TargetManifold.ellipsoid((1.0, 1.0, 1.3)),
+        TargetManifold.ellipsoid((1.5, 1.0, 0.8)),
+    ],
+    ids=["s2", "s3", "ellipsoid_1_1_1.3", "ellipsoid_1.5_1_0.8"],
+)
+def test_chart_energy_linearization_matches_the_dense_oracle(target, order, n):
+    # the closed form of the chart energy, and of its quartic penalty,
+    # against column-by-column differences of the assembled field
+    mesh = build_circle_mesh(n, order)
+    b = build_pullback_bundle(mesh, target, constant_speed_equator(mesh, target))
+    func = energy_functional_on_bundle(b)
+    raw = 0.02 * np.random.default_rng(21).standard_normal(b.base_map.shape)
+    for at_values in (np.zeros_like(b.base_map), project_section(b, raw).values):
+        for f in (func, with_quartic_penalty(func, 5.0)):
+            L, asym = frame_linearization(b, f, at_values=at_values)
+            L_dense, _ = dense_frame_linearization(b, f, at_values)
+            scale = np.max(np.abs(L))
+            assert np.max(np.abs(L - L_dense)) <= 1e-8 * scale
+            assert asym <= 1e-12 * scale
 
 
 def test_linearization_kernel_contains_jacobi_fields():
