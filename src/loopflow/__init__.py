@@ -11,13 +11,16 @@ polynomials.
 import os
 import sys
 
-# The package's matrices are small (64 x 64 at n = 32, 1024 x 1024 at
-# n = 512), and OpenBLAS's default thread pool makes them slower: on a
-# 2-core host one eigh of a 64 x 64 matrix took 38-56 ms with the pool
-# and 0.4-0.6 ms on one thread, and its idle helper threads spin, so a
-# run's CPU time exceeded its wall time. So OpenBLAS runs on one thread
-# unless numpy was imported first or the environment already sets a
-# thread count; set OPENBLAS_NUM_THREADS to get threads back.
+# OpenBLAS's default thread pool slows the package's small matrices: on
+# a 2-core host one eigh of a 64 x 64 matrix took 38-56 ms with the pool
+# and 0.4-0.6 ms on one thread, and the pool's idle threads spin, so a
+# run's CPU time exceeded its wall time. A seed-7 reduce-run on one thread
+# against a 2-thread pool (10 pairs, medians): n = 128 wall 0.70 -> 0.58 s,
+# CPU 1.18 -> 0.58 s; n = 512, whose 1024 x 1024 solves do gain from the
+# pool, wall 4.81 -> 5.00 s (4% slower), CPU 9.34 -> 5.00 s. So OpenBLAS
+# runs on one thread unless numpy was imported first or the environment
+# already sets a thread count; set OPENBLAS_NUM_THREADS to get threads
+# back. The variable stays set in os.environ, so subprocesses inherit it.
 if "numpy" not in sys.modules and not any(
     k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):

@@ -282,16 +282,17 @@ class TargetManifold:
         return a2 * v / d - dt * w
 
     def _differential_jet(self, x, g, s):
-        """(dPi_x, H_x(g)) as (n, p, p) stacks for (n, p) rows x and g, with
-        s the scale of x that _tube returned: the differential of projection
-        and the derivative of x -> dPi_x(g) with g held fixed.
+        """H_x(g), the derivative of x -> dPi_x(g) with g held fixed, as an
+        (n, p, p) stack for (n, p) rows x and g; s is the scale of x that
+        _tube returned.
 
         One formula serves both kinds. With d = a^2 + t (d = |x| and a^2 = 1
         on a sphere), w = a^2 x / d^2 and beta = <w, x / d>, implicit
         differentiation of the multiplier's equation gives grad t = w / beta
-        and dPi = diag(a^2 / d) - w w^T / beta; differentiating dPi g along
-        v, with <grad t, v> entering d, beta and w, gives H. H is symmetric
-        because Pi is the gradient of (|x|^2 - dist(x)^2) / 2.
+        and dPi = diag(a^2 / d) - w w^T / beta, which _differential applies;
+        differentiating dPi g along v, with <grad t, v> entering d, beta and
+        w, gives H. H is symmetric because Pi is the gradient of
+        (|x|^2 - dist(x)^2) / 2.
         """
         a2 = self._a2
         d = s if self.kind == "sphere" else a2 + s
@@ -304,16 +305,14 @@ class TargetManifold:
         u = a2 * g / (d * d)
         eye = np.eye(x.shape[-1])
         ww = w[:, :, None] * w[:, None, :]
-        dpi = eye * (a2 / d)[:, None, :] - ww / beta
         uw = u[:, :, None] * w[:, None, :]
         wdw = wd[:, :, None] * w[:, None, :]
-        hess = (
+        return (
             -(uw + uw.transpose(0, 2, 1)) / beta
             - (c / beta) * eye * (a2 / (d * d))[:, None, :]
             + (2.0 * c / beta**2) * (wdw + wdw.transpose(0, 2, 1))
             + (2.0 * cg / beta**2 - 3.0 * c * gamma / beta**3) * ww
         )
-        return dpi, hess
 
     # -- tangent projector and curvature -----------------------------------
 

@@ -359,14 +359,15 @@ def energy_functional_on_bundle(bundle):
         x = bnd.base_map + values
         points, scale = bnd.target._nearest(x)
         g = -2.0 * laplace_beltrami(compact, points)
-        dpi, hess = bnd.target._differential_jet(x, g, scale)
+        hess = bnd.target._differential_jet(x, g, scale)
         frames = bnd.frames
-        B = np.einsum("nij,nja->nia", dpi, frames)
+        # Row a of Bt is dPi applied to frame column a: Bt = (dPi F)^T.
+        Bt = bnd.target._differential(x[:, None, :], frames.transpose(0, 2, 1), scale[:, None, :])
         h2 = bnd.mesh.spacing ** 2
         diag = np.einsum("nia,nij,njb->nab", frames, hess, frames)
-        diag += (4.0 / h2) * np.einsum("nia,nib->nab", B, B)
+        diag += (4.0 / h2) * (Bt @ Bt.transpose(0, 2, 1))
         nxt = _neighbour_index(len(values), 1)[0]
-        upper = (-2.0 / h2) * np.einsum("nia,nib->nab", B, B.take(nxt, axis=0))
+        upper = (-2.0 / h2) * (Bt @ Bt.take(nxt, axis=0).transpose(0, 2, 1))
         return _block_tridiagonal(diag, upper)
 
     gbase = differentiate(mesh, base)
