@@ -71,17 +71,20 @@ from .reduction import (
     ReductionWorkspace,
     apply_N,
     approximation_check,
+    approximation_sweep,
     build_reduction_workspace,
     invert_N,
     kernel_combination,
     kernel_coordinates,
+    lipschitz_probe,
     project_onto_kernel,
     reduced_function,
     reduced_gradient,
     reduced_section,
     sandwich_check,
+    sandwich_sweep,
 )
-from .targets import TargetManifold, curvature_contraction
+from .targets import TargetManifold
 from .variational import (
     FunctionalSpec,
     MapState,

@@ -8,6 +8,7 @@ every output so a run can be reproduced from its artifacts alone.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -123,7 +124,29 @@ def _build_section(name, cls, data):
         raise ValueError(f"{name}.{exc}") from exc
 
 
+# Keys that count or index something. JSON writes an integer without a
+# point, so a float here (even 2.0) or a bool is rejected by name: a
+# degree of 1.5 would build an open loop, and an iteration cap of 2.5
+# would be echoed as given but act as 2.
+_INTEGER_KEYS = (
+    "domain.n_nodes",
+    "domain.diff_order",
+    "target.ambient_dim",
+    "base_map.degree",
+    "perturbation.seed",
+    "perturbation.mode_count",
+    "reduction.newton_max_iter",
+    "lojasiewicz.samples_per_radius",
+    "output.stride",
+)
+
+
 def _validate(config):
+    for path in _INTEGER_KEYS:
+        name, key = path.split(".")
+        value = getattr(getattr(config, name), key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path} must be an integer")
     checks = [
         (config.domain.n_nodes >= 8, "domain.n_nodes must be at least 8"),
         (config.domain.diff_order in (2, 4), "domain.diff_order must be 2 or 4"),
@@ -134,7 +157,8 @@ def _validate(config):
         (config.perturbation.amplitude >= 0.0, "perturbation.amplitude must be nonnegative"),
         (config.perturbation.mode_count >= 1, "perturbation.mode_count must be at least 1"),
         (config.reduction.kernel_tol > 0.0, "reduction.kernel_tol must be positive"),
-        (config.reduction.newton_tol > 0.0, "reduction.newton_tol must be positive"),
+        (0.0 < config.reduction.newton_tol < math.inf,
+         "reduction.newton_tol must be positive and finite"),
         (config.reduction.newton_max_iter >= 1, "reduction.newton_max_iter must be at least 1"),
         (len(config.lojasiewicz.radii) > 0, "lojasiewicz.radii must be nonempty"),
         (all(r >= 0.0 for r in config.lojasiewicz.radii),

@@ -8,16 +8,17 @@ rows at once by a safeguarded Newton iteration. Implicit differentiation
 of that formula gives the differential dPi_x, a symmetric matrix, and
 once more the derivative of x -> dPi_x(g) for fixed g, which the chart
 energy's linearization uses. The level set G(y) = sum y^2 / a^2 - 1
-gives the unit normal and the second fundamental form. The sphere keeps
-two shortcuts, x / |x| for Pi and its three-operation dPi, because they
-are cheaper on the flow's hot path; projection computes |x| once, for
-the tube check and the division. The
-tension field's curvature term takes the tangent part of Du and
-contracts the shape operator with it from one unit normal per point. A
-tube radius below the reach a_min^2 / a_max bounds the neighborhood on
-which projection and chart operations are trusted; a point belongs to it
-when its exact distance |x - Pi(x)| is below the radius: on a sphere
-that is ||x| - 1| < radius, which also rejects x = 0, NaN and inf.
+gives the unit normal and the second fundamental form, which appears
+only as the tension field's curvature term, _tangent_curvature: it
+takes the tangent part of Du and contracts the shape operator with it
+from one unit normal per point. The sphere keeps two shortcuts, x / |x|
+for Pi and its three-operation dPi, because they are cheaper on the
+flow's hot path; projection computes |x| once, for the tube check and
+the division. A tube radius below the reach a_min^2 / a_max bounds the
+neighborhood on which projection and chart operations are trusted; a
+point belongs to it when its exact distance |x - Pi(x)| is below the
+radius: on a sphere that is ||x| - 1| < radius, which also rejects
+x = 0, NaN and inf.
 
 Each target binds the tube check, the projection and the curvature term
 to its constants once, on first use: a^2, the tube radius, and on an
@@ -170,13 +171,12 @@ class TargetManifold:
     def _tangent_curvature(self):
         """(y, X) -> (c, n) over stacked rows, with A_y(X_t, X_t) = -c n,
         X_t the tangent part of X at y and n the unit normal at y: the
-        tension field's curvature term.
+        tension field's curvature term, and the package's only one.
 
-        Bit for bit (curvature_contraction(self, y, X_t), unit_normal(y))
-        = (-c n, n): _shape_form's gradient 2 y / a^2 is exactly twice the
-        normal's y / a^2 and its norm exactly twice that norm, so both
-        normals are the same floats and its coefficient is the c computed
-        here.
+        c = <X_t, 2 X_t / a^2> / |grad G| is the level set's second
+        fundamental form, with grad G = 2 y / a^2; halving both gradients
+        gives the normal's y / a^2 and its norm gn, so c is computed as
+        <X_t, 2 X_t / a^2> / (2 gn).
         """
         normal = self._normal
         a2 = None if self.kind == "sphere" else self._a2
@@ -314,7 +314,7 @@ class TargetManifold:
             + (2.0 * cg / beta**2 - 3.0 * c * gamma / beta**3) * ww
         )
 
-    # -- tangent projector and curvature -----------------------------------
+    # -- tangent projector -------------------------------------------------
 
     def tangent_projector(self, y):
         """Orthogonal projector onto T_y N for y on the manifold."""
@@ -323,36 +323,6 @@ class TargetManifold:
         n = y / self.semi_axes**2
         n = n / np.linalg.norm(n)
         return np.eye(self.ambient_dim) - np.outer(n, n)
-
-    def second_fundamental_form(self, y, X, Y):
-        """A_y(X, Y) = -<X, 2 Y / a^2> / |grad G| n, for X and Y tangent to
-        within 1e-8 relative."""
-        y = np.asarray(y, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        self.require_on_manifold(y, what="curvature base point")
-        P = self.tangent_projector(y)
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)))
-        if np.linalg.norm(P @ X - X) > tol or np.linalg.norm(P @ Y - Y) > tol:
-            raise ValueError("second_fundamental_form needs tangent input vectors")
-        return _shape_form(self, y, X, Y)
-
-
-def _shape_form(target, y, X, Y):
-    """Level-set second fundamental form A_y(X, Y), rowwise."""
-    a2 = target.semi_axes**2
-    grad = 2.0 * y / a2
-    gn = np.sqrt((grad * grad).sum(-1, keepdims=True))
-    nhat = grad / gn
-    HY = 2.0 * Y / a2
-    coeff = np.sum(X * HY, axis=-1, keepdims=True) / gn
-    return -coeff * nhat
-
-
-def curvature_contraction(target, y, X):
-    """A_y(X, X) over stacked rows; the tension field's curvature term."""
-    X = np.asarray(X, dtype=float)
-    return _shape_form(target, np.asarray(y, dtype=float), X, X)
 
 
 def _tangent_part(X, n):

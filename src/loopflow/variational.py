@@ -3,21 +3,21 @@
 The energy of a loop uses the mesh's centered first difference, so the
 energy of a degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an
 order-2 mesh. The tension field is the classical pointwise assembly
-Delta u minus the curvature contraction; its fiberwise tangential part
-is the constrained gradient of the discrete energy up to O(h^2).
+Delta u - A_u(Du, Du); its fiberwise tangential part is the constrained
+gradient of the discrete energy up to O(h^2).
 _bind_tension binds it to a mesh and a target once: tension_field and
 every stage of the flow go through that one function, with the mesh's
 bound stencils and the target's bound curvature term.
 
-A functional over a pullback bundle is an integrand F(theta, z, eta)
-together with three routines on nodal section values: its value, its
-Euler-Lagrange field and the linearization of that field in the
-bundle's fiber frames. For a generic integrand, make_functional_spec
-checks the partials in the z and eta slots against the differenced
-integrand and builds the routines as a staggered (midpoint-flux)
-quadrature of the integrand, the exact gradient of that quadrature,
-which makes the discrete duality <M_F(u), v> = d/ds F(u + s v) exact up
-to rounding, and the Jacobian of that gradient probed by differences.
+A functional over a pullback bundle is three routines on nodal section
+values: its value, its Euler-Lagrange field and the linearization of
+that field in the bundle's fiber frames. For a generic integrand
+F(theta, z, eta), make_functional_spec checks the partials in the z and
+eta slots against the differenced integrand and builds the routines as
+a staggered (midpoint-flux) quadrature of the integrand, the exact
+gradient of that quadrature, which makes the discrete duality
+<M_F(u), v> = d/ds F(u + s v) exact up to rounding, and the Jacobian of
+that gradient probed by differences.
 The energy functional of a chart builds them from the energy itself:
 the value composes the chart with the energy, the gradient
 differentiates a compact-stencil energy through the chart, so loops
@@ -101,11 +101,9 @@ def tension_field(state):
     """Pointwise Delta u - A_u(Du, Du); tangent at u up to O(h^2).
 
     Du is the tangent part of the centered first difference, and the
-    curvature term contracts the shape operator with it. One gather of
-    u's neighbours feeds both stencils, and one unit normal per node
-    serves both the tangent part and the curvature term; the result is
-    bit for bit laplace_beltrami(u) - curvature_contraction(target, u,
-    target.tangent_part(u, differentiate(u))).
+    target's _tangent_curvature contracts the shape operator with it.
+    One gather of u's neighbours feeds both stencils, and one unit normal
+    per node serves both the tangent part and the curvature term.
 
     The raw field keeps its O(h^2) normal residue so that convergence
     studies can measure it; take tangential_tension for the constrained
@@ -172,31 +170,37 @@ def first_variation_check(state, direction):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """An integrand with the routines that evaluate and differentiate it.
+    """A functional on bundle sections, as the three routines that
+    evaluate and differentiate it.
 
-    The integrand has signature (theta, z, eta) with z and eta ambient
-    vectors; ellipticity_check reads it. value_fn(bundle, values),
-    euler_lagrange_fn(bundle, values) and linearization_fn(bundle, values)
-    take the nodal values of a section: the first returns the
-    functional's value, normalized so F(0) = 0, the second its raw
-    Euler-Lagrange field, which general_euler_lagrange projects into the
-    fibers, and the third the raw (unsymmetrized) Jacobian of that field
-    on frame coordinates, which frame_linearization symmetrizes. The
-    chart energy and its quartic penalty give the Jacobian in closed
-    form; only a generic integrand's is probed by differences.
+    value_fn(bundle, values), euler_lagrange_fn(bundle, values) and
+    linearization_fn(bundle, values) take the nodal values of a section:
+    the first returns the functional's value, normalized so F(0) = 0, the
+    second its raw Euler-Lagrange field, which general_euler_lagrange
+    projects into the fibers, and the third the raw (unsymmetrized)
+    Jacobian of that field on frame coordinates, which
+    frame_linearization symmetrizes. The chart energy and its quartic
+    penalty give the Jacobian in closed form; only a generic integrand's
+    is probed by differences.
     """
 
     label: str
-    integrand: Callable
     validity_radius: float
     value_fn: Callable
     euler_lagrange_fn: Callable
     linearization_fn: Callable
 
 
-def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3, probe_dim=3):
-    """FunctionalSpec for a generic integrand, after checking its partials
-    to 1e-6 against central differences (step 1e-6) at 100 seeded probes.
+# make_functional_spec checks a generic integrand's partials at probes
+# z, eta in R^3, the ambient space of a loop on S^2 or a 3-axis ellipsoid;
+# the partials of an integrand meant for another dimension go unchecked.
+_PARTIALS_PROBE_DIM = 3
+
+
+def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3):
+    """FunctionalSpec for a generic integrand F(theta, z, eta), z and eta
+    ambient vectors, after checking its partials to 1e-6 against central
+    differences (step 1e-6) at 100 seeded probes in R^3.
 
     The value is the staggered (midpoint) quadrature of the integrand.
     The Euler-Lagrange field differentiates that quadrature: node j
@@ -206,7 +210,7 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
     """
     if validity_radius <= 0.0:
         raise ValueError("validity_radius must be positive")
-    _validate_partials(label, integrand, partial_z, partial_eta, probe_dim)
+    _validate_partials(label, integrand, partial_z, partial_eta, _PARTIALS_PROBE_DIM)
 
     def value_fn(bundle, values):
         mid, vbar, _, eta = _staggered_data(bundle, values)
@@ -235,7 +239,7 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
     def linearization_fn(bundle, values):
         return _probed_linearization(bundle, el_fn, values)
 
-    return FunctionalSpec(label, integrand, float(validity_radius), value_fn, el_fn, linearization_fn)
+    return FunctionalSpec(label, float(validity_radius), value_fn, el_fn, linearization_fn)
 
 
 def _validate_partials(label, integrand, partial_z, partial_eta, dim):
@@ -316,7 +320,9 @@ def energy_functional_on_bundle(bundle):
     the mesh's differentiation order, which keeps the spectrum of the
     linearization monotone in frequency and leaves loops that are exact
     discrete critical points exactly critical here as well. The
-    linearization is that gradient's closed-form derivative. Every
+    linearization is that gradient's closed-form derivative; its
+    coefficient of -Delta_c at node j, 2 B_j^T B_j with B = dPi F, is
+    positive definite, which is the chart energy's ellipticity. Every
     routine raises ValueError when called with a bundle other than this
     one, whose energy the value subtracts. A base map with tangential
     tension norm above 0.05 max(1, sqrt(E(phi0))) is not near-harmonic
@@ -370,28 +376,8 @@ def energy_functional_on_bundle(bundle):
         upper = (-2.0 / h2) * (Bt @ Bt.take(nxt, axis=0).transpose(0, 2, 1))
         return _block_tridiagonal(diag, upper)
 
-    gbase = differentiate(mesh, base)
-    kmats = differentiate(mesh, bundle.projectors)
-    h = mesh.spacing
-    n = mesh.n_nodes
-    ref = np.sum(target.differential_of_projection(base, gbase) ** 2, axis=1)
-
-    def _node_of(theta):
-        idx = int(round(theta / h)) % n
-        if abs(theta - mesh.node_angles[idx]) > 1e-9 and abs(theta - mesh.node_angles[idx] - 2 * np.pi) > 1e-9:
-            raise ValueError("energy integrand is tabulated at mesh nodes only")
-        return idx
-
-    def integrand(theta, z, eta):
-        i = _node_of(theta)
-        x = base[i] + np.asarray(z, dtype=float)
-        arg = gbase[i] + np.asarray(eta, dtype=float) + kmats[i] @ np.asarray(z, dtype=float)
-        img = target.differential_of_projection(x, arg)
-        return float(np.sum(img * img) - ref[i])
-
     return FunctionalSpec(
         label="chart energy",
-        integrand=integrand,
         validity_radius=0.9 * target.tube_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
@@ -401,7 +387,7 @@ def energy_functional_on_bundle(bundle):
 
 def with_quartic_penalty(functional, weight):
     """Add a pointwise quartic |z|^4 term to a functional: value,
-    gradient, linearization and integrand. The gradient term is node by
+    gradient and linearization. The gradient term is node by
     node, so the field keeps its stencil radius of 1, and its Jacobian
     4 w (|z|^2 I + 2 z z^T) adds to the diagonal blocks only.
 
@@ -435,13 +421,8 @@ def with_quartic_penalty(functional, weight):
         L.reshape(n, q, n, q)[j, :, j, :] += blocks
         return L
 
-    def integrand(theta, z, eta):
-        zz = float(np.sum(np.asarray(z) ** 2))
-        return functional.integrand(theta, z, eta) + w * zz * zz
-
     return FunctionalSpec(
         label=functional.label + " + quartic",
-        integrand=integrand,
         validity_radius=functional.validity_radius,
         value_fn=value_fn,
         euler_lagrange_fn=el_fn,
@@ -578,8 +559,10 @@ def quadratic_remainder_check(bundle, functional, s1, s2, lin=None):
     return remainder, product
 
 
-def ellipticity_check(functional, probes):
-    """Positivity of the eta-Hessian form (second differences, step 1e-4) over the probes.
+def ellipticity_check(integrand, probes):
+    """Positivity of the eta-Hessian form of an integrand F(theta, z, eta)
+    (second differences, step 1e-4) over the probes (theta, z, eta, xi,
+    lambda).
 
     Probes with a zero frame or fiber component are vacuous for the
     positivity quantifier and are skipped.
@@ -594,9 +577,9 @@ def ellipticity_check(functional, probes):
         lhat = lam / ln
         z = np.asarray(z, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        fp = functional.integrand(theta, z, eta + step * lhat)
-        f0 = functional.integrand(theta, z, eta)
-        fm = functional.integrand(theta, z, eta - step * lhat)
+        fp = integrand(theta, z, eta + step * lhat)
+        f0 = integrand(theta, z, eta)
+        fm = integrand(theta, z, eta - step * lhat)
         quad = (fp - 2.0 * f0 + fm) / (step * step)
         if quad * xin * xin <= 0.0:
             return False

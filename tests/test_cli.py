@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -329,3 +330,9 @@ def test_import_defaults_openblas_to_one_thread(preset, imports, expected):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("module", ["flow", "lojasiewicz", "polynomials", "reduction", "variational"])
+def test_public_names_are_exported_at_the_package_root(module):
+    names = importlib.import_module(f"loopflow.{module}").__all__
+    assert [name for name in names if not hasattr(loopflow, name)] == []

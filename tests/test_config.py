@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -75,6 +76,8 @@ def test_document_and_section_shape_checks():
         ('{"flow": {"stop_grad_tol": -1e-8}}', "flow.stop_grad_tol must be finite and nonnegative"),
         ('{"flow": {"integrator": "leapfrog"}}', "integrator"),
         ('{"reduction": {"kernel_tol": 0.0}}', "kernel_tol"),
+        ('{"reduction": {"newton_tol": Infinity}}', r"^reduction\.newton_tol must be positive and finite$"),
+        ('{"reduction": {"newton_tol": NaN}}', r"^reduction\.newton_tol must be positive and finite$"),
         ('{"lojasiewicz": {"radii": []}}', "nonempty"),
         ('{"lojasiewicz": {"samples_per_radius": 0}}', "at least 1"),
         ('{"output": {"stride": 0}}', "at least 1"),
@@ -83,6 +86,27 @@ def test_document_and_section_shape_checks():
 def test_field_validation_messages(doc, message):
     with pytest.raises(ValueError, match=message):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "domain.n_nodes",
+        "domain.diff_order",
+        "target.ambient_dim",
+        "base_map.degree",
+        "perturbation.seed",
+        "perturbation.mode_count",
+        "reduction.newton_max_iter",
+        "lojasiewicz.samples_per_radius",
+        "output.stride",
+    ],
+)
+@pytest.mark.parametrize("bad", [2.5, 4.0, True], ids=["fraction", "integral_float", "bool"])
+def test_integer_keys_reject_floats_and_bools(path, bad):
+    name, key = path.split(".")
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an integer$"):
+        parse_config(json.dumps({name: {key: bad}}))
 
 
 def test_ellipsoid_with_matching_axes_passes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopflow.targets import TargetManifold, curvature_contraction
+from loopflow.targets import TargetManifold
 
 
 def unit(v):
@@ -185,17 +185,22 @@ def test_tangent_projector_algebra():
     assert abs(np.trace(P) - 2.0) < 1e-12
 
 
-def test_second_fundamental_form_sphere():
+def tangent_curvature(t, y, X):
+    """A_y(X_t, X_t) = -c n from the target's one curvature term."""
+    c, n = t._tangent_curvature(np.asarray(y, dtype=float), np.asarray(X, dtype=float))
+    return -c * n
+
+
+def test_tangent_curvature_sphere():
     s = TargetManifold.sphere(3)
     y = unit(np.array([1.0, 1.0, 0.2]))
     P = s.tangent_projector(y)
     rng = np.random.default_rng(5)
     X = P @ rng.standard_normal(3)
-    Y = P @ rng.standard_normal(3)
-    A = s.second_fundamental_form(y, X, Y)
-    np.testing.assert_allclose(A, -np.dot(X, Y) * y, atol=1e-14)
-    with pytest.raises(ValueError, match="tangent"):
-        s.second_fundamental_form(y, y + X, Y)
+    A = tangent_curvature(s, y, X)
+    np.testing.assert_allclose(A, -np.dot(X, X) * y, atol=1e-14)
+    # only the tangent part of X enters: a normal component changes nothing
+    np.testing.assert_allclose(tangent_curvature(s, y, X + 0.7 * y), A, atol=1e-14)
 
 
 def fd_second_fundamental_form(t, y, X, Y, eps=1e-6):
@@ -208,8 +213,9 @@ def fd_second_fundamental_form(t, y, X, Y, eps=1e-6):
     return (np.eye(t.ambient_dim) - t.tangent_projector(y)) @ (dP @ Y)
 
 
-def test_second_fundamental_form_matches_closed_form_on_ellipsoid():
-    # two routes: differencing the projector field vs the level-set formula
+def test_tangent_curvature_matches_differenced_projector_on_ellipsoid():
+    # two routes: differencing the projector field vs the level-set formula;
+    # polarization recovers the bilinear form A(X, Y) from the contraction
     e = TargetManifold.ellipsoid((1.4, 1.0, 0.7))
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -218,21 +224,23 @@ def test_second_fundamental_form_matches_closed_form_on_ellipsoid():
         X = P @ rng.standard_normal(3)
         Y = P @ rng.standard_normal(3)
         tol = 2e-5 * max(1.0, np.dot(X, X), np.dot(Y, Y))
-        fd = fd_second_fundamental_form(e, y, X, Y)
-        np.testing.assert_allclose(e.second_fundamental_form(y, X, Y), fd, atol=tol)
         np.testing.assert_allclose(
-            curvature_contraction(e, y, X), fd_second_fundamental_form(e, y, X, X), atol=tol
+            tangent_curvature(e, y, X), fd_second_fundamental_form(e, y, X, X), atol=tol
         )
+        polar = 0.25 * (tangent_curvature(e, y, X + Y) - tangent_curvature(e, y, X - Y))
+        np.testing.assert_allclose(polar, fd_second_fundamental_form(e, y, X, Y), atol=tol)
 
 
-def test_curvature_contraction_vectorized_and_normal():
+def test_tangent_curvature_vectorized_and_normal():
     s = TargetManifold.sphere(3)
     rng = np.random.default_rng(7)
     y = rng.standard_normal((15, 3))
     y = y / np.linalg.norm(y, axis=1, keepdims=True)
     X = rng.standard_normal((15, 3))
     X = X - np.sum(X * y, axis=1, keepdims=True) * y
-    A = curvature_contraction(s, y, X)
+    c, n = s._tangent_curvature(y, X)
+    assert np.array_equal(n, s.unit_normal(y))
+    A = -c * n
     np.testing.assert_allclose(A, -np.sum(X * X, axis=1, keepdims=True) * y, atol=1e-13)
     # result is purely normal: projecting it to the tangent space kills it
     tang = A - np.sum(A * y, axis=1, keepdims=True) * y

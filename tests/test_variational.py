@@ -10,7 +10,7 @@ from loopflow.bundles import (
     zero_section,
 )
 from loopflow.mesh import build_circle_mesh, differentiate, integrate
-from loopflow.targets import TargetManifold, curvature_contraction
+from loopflow.targets import TargetManifold
 from loopflow.variational import (
     MapState,
     _arc_colouring,
@@ -152,6 +152,17 @@ def test_tension_on_ellipsoid_small_for_gentle_loop():
     assert np.sqrt(integrate(st.mesh, np.sum(Mt * Mt, axis=1))) < 1e-2
 
 
+def level_set_contraction(target, y, X):
+    """A_y(X, X) = -<X, 2 X / a^2> / |grad G| grad G / |grad G|, from the
+    level set G(y) = sum y^2 / a^2 - 1, written out term by term."""
+    a2 = target.semi_axes**2
+    grad = 2.0 * y / a2
+    gn = np.sqrt((grad * grad).sum(-1, keepdims=True))
+    nhat = grad / gn
+    coeff = np.sum(X * (2.0 * X / a2), axis=-1, keepdims=True) / gn
+    return -coeff * nhat
+
+
 @pytest.mark.parametrize(
     "target, order",
     [
@@ -166,7 +177,7 @@ def test_tension_on_ellipsoid_small_for_gentle_loop():
 )
 def test_tension_field_equals_the_two_pass_assembly(target, order):
     # one gather and one normal give the same bits as the stencils written
-    # with np.roll, the tangent part and the curvature contraction in turn
+    # with np.roll, the tangent part and the level-set curvature in turn
     rng = np.random.default_rng(31 * order + target.ambient_dim)
     p = target.ambient_dim
     for n in (24, 33):
@@ -179,7 +190,7 @@ def test_tension_field_equals_the_two_pass_assembly(target, order):
         )
         u = target.project_nearest(y + offset)
         du, lap, _ = rolled_stencils(mesh, u)
-        want = lap - curvature_contraction(target, u, target.tangent_part(u, du))
+        want = lap - level_set_contraction(target, u, target.tangent_part(u, du))
         assert np.array_equal(tension_field(map_state(mesh, target, u)), want)
 
 
@@ -703,25 +714,60 @@ def test_quadratic_remainder_constant_stability():
     assert max(cs) / min(cs) < 10.0
 
 
-def test_ellipticity_energy_true_negative_false():
-    b = equator_bundle(32)
-    func = energy_functional_on_bundle(b)
+def test_ellipticity_check_positive_negative_vacuous():
     rng = np.random.default_rng(8)
-    probes = []
-    for _ in range(50):
-        th = b.mesh.node_angles[rng.integers(0, 32)]
-        probes.append(
-            (th, 0.05 * rng.standard_normal(3), 0.1 * rng.standard_normal(3),
-             rng.standard_normal(), rng.standard_normal(3))
-        )
-    assert ellipticity_check(func, probes)
-    neg = make_functional_spec(
-        label="-|eta|^2",
-        integrand=lambda th, z, eta: -float(np.dot(eta, eta)),
-        partial_z=lambda th, z, eta: np.zeros(3),
-        partial_eta=lambda th, z, eta: -2.0 * np.asarray(eta, dtype=float),
-        validity_radius=10.0,
+    probes = [
+        (rng.uniform(0.0, 2.0 * np.pi), 0.05 * rng.standard_normal(3), 0.1 * rng.standard_normal(3),
+         rng.standard_normal(), rng.standard_normal(3))
+        for _ in range(50)
+    ]
+    assert ellipticity_check(lambda th, z, eta: float(np.dot(eta, eta)), probes)
+    assert ellipticity_check(
+        lambda th, z, eta: float(np.dot(eta, eta) + np.dot(z, z) * np.dot(z, eta)), probes
     )
+
+    def neg(th, z, eta):
+        return -float(np.dot(eta, eta))
+
     assert not ellipticity_check(neg, probes)
     # zero-xi probes are vacuous and do not decide the verdict
     assert ellipticity_check(neg, [(0.0, np.zeros(3), np.zeros(3), 0.0, np.ones(3))])
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        TargetManifold.sphere(3),
+        TargetManifold.sphere(4),
+        TargetManifold.ellipsoid((1.0, 1.0, 1.3)),
+        TargetManifold.ellipsoid((1.5, 1.0, 0.8)),
+    ],
+    ids=["s2", "s3", "ellipsoid-1-1-1.3", "ellipsoid-1.5-1-0.8"],
+)
+@pytest.mark.parametrize("order", [2, 4])
+def test_chart_energy_node_coefficient_is_positive_definite(target, order):
+    # The chart energy's ellipticity: its linearization's coefficient of
+    # -Delta_c at node j is 2 B_j^T B_j with B = dPi F, and it must be
+    # positive definite at the zero section and near it.
+    n, p = 24, target.ambient_dim
+    mesh = build_circle_mesh(n, diff_order=order)
+    th = mesh.node_angles
+    loop = np.zeros((n, p))
+    loop[:, 0] = target.semi_axes[0] * np.cos(th)
+    loop[:, 1] = target.semi_axes[1] * np.sin(th)
+    b = build_pullback_bundle(mesh, target, loop)
+
+    def node_coefficient(values):
+        x = b.base_map + values
+        B = np.stack(
+            [target.differential_of_projection(x, b.frames[:, :, a]) for a in range(p - 1)], axis=2
+        )
+        return 2.0 * B.transpose(0, 2, 1) @ B
+
+    # on the target dPi is the tangent projector and F is orthonormal
+    zero = node_coefficient(np.zeros((n, p)))
+    np.testing.assert_allclose(zero, np.broadcast_to(2.0 * np.eye(p - 1), zero.shape), atol=1e-12)
+    rng = np.random.default_rng(40 + 10 * p + order)
+    sec = project_section(b, rng.standard_normal((n, p))).values
+    near = node_coefficient(0.02 * sec / np.max(np.linalg.norm(sec, axis=1)))
+    assert np.min(np.linalg.eigvalsh(near)) > 1.0
