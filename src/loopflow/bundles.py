@@ -1,7 +1,7 @@
 """Sections of the pullback tangent bundle over a base loop.
 
-A bundle is the base map phi0 together with the tangent projector of the
-target at each node and an orthonormal frame of each fiber; a section
+A bundle is the base map phi0 with the stacked tangent projectors of
+the target and orthonormal fiber frames, one per node; a section
 stores one fiber vector per node. The bundle gradient is the fiberwise
 projected derivative of the section. Charts move between small sections
 and nearby loops on the target through nearest-point projection.
@@ -39,7 +39,7 @@ def build_pullback_bundle(mesh, target, base_map):
             f"base map must have shape ({mesh.n_nodes}, {target.ambient_dim}), got {base.shape}"
         )
     target.require_on_manifold(base, tol=1e-10, what="base map")
-    projectors = np.stack([target.tangent_projector(y) for y in base])
+    projectors = target.tangent_projector(base)
     frames = _fiber_frames(projectors)
     base = base.copy()
     for arr in (base, projectors, frames):
@@ -50,24 +50,24 @@ def build_pullback_bundle(mesh, target, base_map):
 def _fiber_frames(projectors):
     """Deterministic orthonormal bases of the fibers, shape (n, p, p-1).
 
-    Greedy Gram-Schmidt on the projected coordinate axes: stable under
-    small perturbations of the base map and reproducible across runs.
+    Greedy Gram-Schmidt on the projected coordinate axes, all nodes at
+    once: column k is the longest remaining projected axis, normalized,
+    then removed from the rest. Stable under small perturbations of the
+    base map and reproducible across runs.
     """
     n, p, _ = projectors.shape
-    q = p - 1
-    frames = np.empty((n, p, q))
-    for i in range(n):
-        cols = projectors[i].copy()
-        chosen = []
-        for _ in range(q):
-            norms = np.linalg.norm(cols, axis=0)
-            j = int(np.argmax(norms))
-            if norms[j] < 1e-12:
-                raise ValueError(f"fiber at node {i} has deficient rank")
-            v = cols[:, j] / norms[j]
-            chosen.append(v)
-            cols = cols - np.outer(v, v @ cols)
-        frames[i] = np.stack(chosen, axis=1)
+    nodes = np.arange(n)
+    cols = projectors.copy()
+    frames = np.empty((n, p, p - 1))
+    for k in range(p - 1):
+        norms = np.linalg.norm(cols, axis=1)
+        j = np.argmax(norms, axis=1)
+        best = norms[nodes, j]
+        if np.any(best < 1e-12):
+            raise ValueError(f"fiber at node {int(np.argmax(best < 1e-12))} has deficient rank")
+        v = cols[nodes, :, j] / best[:, None]
+        frames[:, :, k] = v
+        cols = cols - v[:, :, None] * (v[:, None, :] @ cols)
     return frames
 
 

@@ -132,20 +132,11 @@ def make_initial_map(config, seed=None):
 # -- serialization ---------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_to_json(obj):
+    """json.dump's hook for what it cannot write: numpy arrays and scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(outdir, name, payload):
@@ -154,7 +145,7 @@ def _write_json(outdir, name, payload):
     payload.setdefault("rng", RNG_NAME)
     path = os.path.join(outdir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_numpy_to_json)
         fh.write("\n")
     return path
 

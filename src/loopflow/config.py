@@ -9,10 +9,11 @@ every output so a run can be reproduced from its artifacts alone.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .flow import FlowConfig
+from .polynomials import from_term_list
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "resolved_dict", "VERSION", "RNG_NAME"]
 
@@ -98,19 +99,6 @@ class RunConfig:
     finite_verify: FiniteVerifySection = field(default_factory=FiniteVerifySection)
 
 
-_SECTIONS = {
-    "domain": DomainSection,
-    "target": TargetSection,
-    "base_map": BaseMapSection,
-    "perturbation": PerturbationSection,
-    "flow": FlowConfig,
-    "reduction": ReductionSection,
-    "lojasiewicz": LojasiewiczSection,
-    "output": OutputSection,
-    "finite_verify": FiniteVerifySection,
-}
-
-
 def _build_section(name, cls, data):
     if not isinstance(data, dict):
         raise ValueError(f"section '{name}' must be an object")
@@ -124,29 +112,16 @@ def _build_section(name, cls, data):
         raise ValueError(f"{name}.{exc}") from exc
 
 
-# Keys that count or index something. JSON writes an integer without a
-# point, so a float here (even 2.0) or a bool is rejected by name: a
-# degree of 1.5 would build an open loop, and an iteration cap of 2.5
-# would be echoed as given but act as 2.
-_INTEGER_KEYS = (
-    "domain.n_nodes",
-    "domain.diff_order",
-    "target.ambient_dim",
-    "base_map.degree",
-    "perturbation.seed",
-    "perturbation.mode_count",
-    "reduction.newton_max_iter",
-    "lojasiewicz.samples_per_radius",
-    "output.stride",
-)
-
-
 def _validate(config):
-    for path in _INTEGER_KEYS:
-        name, key = path.split(".")
-        value = getattr(getattr(config, name), key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{path} must be an integer")
+    # Every section field annotated int counts or indexes something. JSON
+    # writes an integer without a point, so a float there (even 2.0) or a
+    # bool is rejected by name: a degree of 1.5 would build an open loop,
+    # and an iteration cap of 2.5 would be echoed as given but act as 2.
+    for section in fields(config):
+        for key in fields(section.type):
+            value = getattr(getattr(config, section.name), key.name)
+            if key.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{section.name}.{key.name} must be an integer")
     checks = [
         (config.domain.n_nodes >= 8, "domain.n_nodes must be at least 8"),
         (config.domain.diff_order in (2, 4), "domain.diff_order must be 2 or 4"),
@@ -191,13 +166,21 @@ def _validate(config):
                 raise ValueError(f"unknown key '{where}.{key}'")
         if "terms" not in entry:
             raise ValueError(f"{where} needs a 'terms' list")
+        try:
+            from_term_list(entry["terms"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}.terms: {exc}") from exc
         check = entry.get("check")
         if check not in ("gradient", "distance"):
             raise ValueError(f"{where}.check must be 'gradient' or 'distance'")
         if check == "gradient" and not entry.get("radii"):
             raise ValueError(f"{where} needs nonempty 'radii' for a gradient check")
-        if check == "distance" and (not entry.get("box") or not entry.get("grid_n")):
-            raise ValueError(f"{where} needs 'box' and 'grid_n' for a distance check")
+        if check == "distance":
+            if not entry.get("box") or not entry.get("grid_n"):
+                raise ValueError(f"{where} needs 'box' and 'grid_n' for a distance check")
+            grid_n = entry["grid_n"]
+            if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 1:
+                raise ValueError(f"{where}.grid_n must be a positive integer")
 
 
 def parse_config(text):
@@ -208,14 +191,13 @@ def parse_config(text):
         raise ValueError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    sections = {section.name: section.type for section in fields(RunConfig)}
     for key in data:
-        if key not in _SECTIONS:
+        if key not in sections:
             raise ValueError(f"unknown key '{key}'")
-    sections = {
-        name: _build_section(name, cls, data.get(name, {}))
-        for name, cls in _SECTIONS.items()
-    }
-    config = RunConfig(**sections)
+    config = RunConfig(
+        **{name: _build_section(name, cls, data.get(name, {})) for name, cls in sections.items()}
+    )
     _validate(config)
     return config
 

@@ -64,6 +64,8 @@ def polynomial(terms, n_vars=None):
     items = []
     seen_arity = n_vars
     for exps, coef in terms.items():
+        if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in exps):
+            raise ValueError(f"non-integer exponent in term {exps}")
         exps = tuple(int(e) for e in exps)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in term {exps}")
@@ -91,6 +93,6 @@ def from_term_list(pairs):
         if len(entry) != 2:
             raise ValueError(f"malformed polynomial term {entry!r}")
         exps, coef = entry
-        key = tuple(int(e) for e in exps)
+        key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + float(coef)
     return polynomial(terms)

@@ -317,12 +317,14 @@ class TargetManifold:
     # -- tangent projector -------------------------------------------------
 
     def tangent_projector(self, y):
-        """Orthogonal projector onto T_y N for y on the manifold."""
+        """Orthogonal projectors onto T_y N at points y on the manifold,
+        (p, p) for one point or (n, p, p) for an (n, p) stack. The unit
+        normal's norm is sqrt(n @ n), np.linalg.norm's BLAS dot."""
         y = np.asarray(y, dtype=float)
         self.require_on_manifold(y, what="projector base point")
-        n = y / self.semi_axes**2
-        n = n / np.linalg.norm(n)
-        return np.eye(self.ambient_dim) - np.outer(n, n)
+        n = (y / self.semi_axes**2)[..., None, :]
+        n = n / np.sqrt(n @ n.swapaxes(-1, -2))
+        return np.eye(self.ambient_dim) - n.swapaxes(-1, -2) * n
 
 
 def _tangent_part(X, n):

@@ -12,12 +12,11 @@ bound stencils and the target's bound curvature term.
 A functional over a pullback bundle is three routines on nodal section
 values: its value, its Euler-Lagrange field and the linearization of
 that field in the bundle's fiber frames. For a generic integrand
-F(theta, z, eta), make_functional_spec checks the partials in the z and
-eta slots against the differenced integrand and builds the routines as
-a staggered (midpoint-flux) quadrature of the integrand, the exact
-gradient of that quadrature, which makes the discrete duality
-<M_F(u), v> = d/ds F(u + s v) exact up to rounding, and the Jacobian of
-that gradient probed by differences.
+F(theta, z, eta), make_functional_spec builds the routines as a
+staggered (midpoint-flux) quadrature of the integrand, the exact
+gradient of that quadrature (which makes the discrete duality
+<M_F(u), v> = d/ds F(u + s v) exact up to rounding, and checks the z and
+eta partials in each new ambient dimension), and its probed Jacobian.
 The energy functional of a chart builds them from the energy itself:
 the value composes the chart with the energy, the gradient
 differentiates a compact-stencil energy through the chart, so loops
@@ -27,7 +26,8 @@ closed-form derivative of that gradient. with_quartic_penalty adds a
 node-by-node quartic term, with its closed-form Jacobian, to either
 kind. So only a generic integrand is probed. In every case the field at
 node j reads only nodes j-1, j and j+1: the linearization is
-block-tridiagonal, and the probing fills it as a band of radius 1.
+block-tridiagonal, it travels as node blocks, and only
+frame_linearization lays it out as a dense matrix.
 """
 
 from dataclasses import dataclass
@@ -176,12 +176,13 @@ class FunctionalSpec:
     value_fn(bundle, values), euler_lagrange_fn(bundle, values) and
     linearization_fn(bundle, values) take the nodal values of a section:
     the first returns the functional's value, normalized so F(0) = 0, the
-    second its raw Euler-Lagrange field, which general_euler_lagrange
-    projects into the fibers, and the third the raw (unsymmetrized)
-    Jacobian of that field on frame coordinates, which
-    frame_linearization symmetrizes. The chart energy and its quartic
-    penalty give the Jacobian in closed form; only a generic integrand's
-    is probed by differences.
+    second its raw Euler-Lagrange field EL, which general_euler_lagrange
+    projects into the fibers, and the third the raw Jacobian of EL in
+    frame coordinates as three (n, p-1, p-1) stacks (diag, upper, lower)
+    with diag[j] = dEL_j/du_j, upper[j] = dEL_j/du_j+1 and lower[j] =
+    dEL_j+1/du_j, indices cyclic; frame_linearization symmetrizes them.
+    The chart energy and its quartic penalty give the blocks in closed
+    form; only a generic integrand's are probed by differences.
     """
 
     label: str
@@ -191,26 +192,22 @@ class FunctionalSpec:
     linearization_fn: Callable
 
 
-# make_functional_spec checks a generic integrand's partials at probes
-# z, eta in R^3, the ambient space of a loop on S^2 or a 3-axis ellipsoid;
-# the partials of an integrand meant for another dimension go unchecked.
-_PARTIALS_PROBE_DIM = 3
-
-
 def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radius=0.3):
     """FunctionalSpec for a generic integrand F(theta, z, eta), z and eta
-    ambient vectors, after checking its partials to 1e-6 against central
-    differences (step 1e-6) at 100 seeded probes in R^3.
+    ambient vectors.
 
     The value is the staggered (midpoint) quadrature of the integrand.
     The Euler-Lagrange field differentiates that quadrature: node j
     receives the averaged z-partial minus the difference of the
-    fiber-projected eta-flux. Its linearization is probed by
-    _probed_linearization.
+    fiber-projected eta-flux. On its first call in each ambient
+    dimension it checks the partials to 1e-6 against central differences
+    (step 1e-6) at 100 seeded probes of that dimension, and raises
+    ValueError naming the first wrong one. Its linearization is probed
+    by _probed_linearization.
     """
     if validity_radius <= 0.0:
         raise ValueError("validity_radius must be positive")
-    _validate_partials(label, integrand, partial_z, partial_eta, _PARTIALS_PROBE_DIM)
+    checked_dims = set()
 
     def value_fn(bundle, values):
         mid, vbar, _, eta = _staggered_data(bundle, values)
@@ -224,6 +221,9 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
 
     def el_fn(bundle, values):
         n, p = values.shape
+        if p not in checked_dims:
+            _validate_partials(label, integrand, partial_z, partial_eta, p)
+            checked_dims.add(p)
         mid, vbar, pbar, eta = _staggered_data(bundle, values)
         fz = np.empty((n, p))
         flux = np.empty((n, p))
@@ -374,7 +374,7 @@ def energy_functional_on_bundle(bundle):
         diag += (4.0 / h2) * (Bt @ Bt.transpose(0, 2, 1))
         nxt = _neighbour_index(len(values), 1)[0]
         upper = (-2.0 / h2) * (Bt @ Bt.take(nxt, axis=0).transpose(0, 2, 1))
-        return _block_tridiagonal(diag, upper)
+        return diag, upper, upper.transpose(0, 2, 1)
 
     return FunctionalSpec(
         label="chart energy",
@@ -412,14 +412,11 @@ def with_quartic_penalty(functional, weight):
 
     def linearization_fn(bnd, values):
         # the Jacobian of 4 w |v|^2 v is 4 w (|v|^2 I + 2 v v^T), node by node
-        L = base_linearization(bnd, values)
+        diag, upper, lower = base_linearization(bnd, values)
         c = _to_coords(bnd, values).reshape(len(values), -1)
-        n, q = c.shape
         nsq = np.sum(values * values, axis=1)[:, None, None]
-        blocks = 4.0 * w * (nsq * np.eye(q) + 2.0 * c[:, :, None] * c[:, None, :])
-        j = np.arange(n)
-        L.reshape(n, q, n, q)[j, :, j, :] += blocks
-        return L
+        blocks = 4.0 * w * (nsq * np.eye(c.shape[1]) + 2.0 * c[:, :, None] * c[:, None, :])
+        return diag + blocks, upper, lower
 
     return FunctionalSpec(
         label=functional.label + " + quartic",
@@ -465,24 +462,27 @@ def frame_linearization(bundle, functional, at_values=None):
     bundle's fiber frames, at the section values at_values (default the
     zero section), with its raw asymmetry.
 
-    The matrix acts on frame coordinates (node-major, p-1 per node) and
-    comes from the functional's linearization_fn: in closed form for the
-    chart energy and its quartic penalty, by _probed_linearization for a
-    generic integrand.
+    The raw node blocks (diag, upper, lower) come from the functional's
+    linearization_fn. The asymmetry is the larger of max|diag - diag^T|
+    and max|upper - lower^T|; the symmetrized blocks are laid out here,
+    and only here, as a dense matrix on frame coordinates (node-major,
+    p-1 per node).
     """
     n, p = bundle.base_map.shape
     values = project_section(bundle, np.zeros((n, p)) if at_values is None else at_values).values
     _require_validity(functional, values)
-    L = functional.linearization_fn(bundle, values)
-    asym = float(np.max(np.abs(L - L.T)))
-    return 0.5 * (L + L.T), asym
+    diag, upper, lower = functional.linearization_fn(bundle, values)
+    diag_t, lower_t = diag.transpose(0, 2, 1), lower.transpose(0, 2, 1)
+    asym = float(max(np.max(np.abs(diag - diag_t)), np.max(np.abs(upper - lower_t))))
+    return _block_tridiagonal(0.5 * (diag + diag_t), 0.5 * (upper + lower_t)), asym
 
 
 def _probed_linearization(bundle, euler_lagrange_fn, at_values):
-    """Raw frame matrix of the linearization of euler_lagrange_fn at
-    at_values, by centered differences (step 1e-6) along the frame
-    directions: the linearization of a generic integrand, and the test
-    oracle of the closed forms.
+    """Raw node blocks (diag, upper, lower) of the linearization of
+    euler_lagrange_fn at at_values, in the layout of
+    FunctionalSpec.linearization_fn, by centered differences (step 1e-6)
+    along the frame directions: the linearization of a generic
+    integrand, and the test oracle of the closed forms.
 
     Every field probed here has stencil radius 1: the staggered assembly
     reads nodes j-1, j and j+1 by construction, the chart energy's
@@ -491,19 +491,17 @@ def _probed_linearization(bundle, euler_lagrange_fn, at_values):
     answer in disjoint row windows, the nodes are coloured by their
     offset inside 3-long arcs of the circle, and one difference probe per
     colour and frame direction fills all of that colour's columns
-    (Curtis, Powell and Reid). The frames read only the fiber part of
-    each difference.
+    (Curtis, Powell and Reid): rows g-1, g and g+1 of a probe at node g
+    along frame column a are column a of upper[g-1], diag[g] and
+    lower[g]. The frames read only the fiber part of each difference.
     """
-    n, p = bundle.base_map.shape
-    q = p - 1
     frames = bundle.frames
-    m = n * q
-    L = np.zeros((m, m))
+    n, p, q = frames.shape
+    diag, upper, lower = (np.empty((n, q, q)) for _ in range(3))
     step = 1e-6
     window = np.arange(-1, 2)
     for group in _arc_colouring(n, 3):
         rows = (group[:, None] + window) % n
-        row_index = rows[:, :, None] * q + np.arange(q)
         for a in range(q):
             d = np.zeros((n, p))
             d[group] = frames[group, :, a]
@@ -511,8 +509,10 @@ def _probed_linearization(bundle, euler_lagrange_fn, at_values):
             vm = project_section(bundle, at_values - step * d).values
             col = (euler_lagrange_fn(bundle, vp) - euler_lagrange_fn(bundle, vm)) / (2.0 * step)
             block = np.einsum("gwjb,gwj->gwb", frames[rows], col[rows])
-            L[row_index, (group * q + a)[:, None, None]] = block
-    return L
+            upper[rows[:, 0], :, a] = block[:, 0]
+            diag[group, :, a] = block[:, 1]
+            lower[group, :, a] = block[:, 2]
+    return diag, upper, lower
 
 
 def _block_tridiagonal(diag, upper):

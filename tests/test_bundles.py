@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loopflow.bundles import (
+    _fiber_frames,
     build_pullback_bundle,
     bundle_gradient,
     chart_decode,
@@ -63,6 +64,49 @@ def test_fiber_frames_orthonormal_and_vertical_first(target):
     # with e4 on S^3, where argmax takes the first), so the greedy sweep
     # takes it first there
     np.testing.assert_allclose(np.abs(frames[5][:, 0]), np.eye(p)[2], atol=1e-12)
+
+
+def per_point_projector(target, y):
+    """The one-point tangent projector, with np.linalg.norm's unit normal."""
+    n = y / target.semi_axes**2
+    n = n / np.linalg.norm(n)
+    return np.eye(target.ambient_dim) - np.outer(n, n)
+
+
+def per_node_frames(projectors):
+    """The greedy Gram-Schmidt of _fiber_frames, one node at a time."""
+    n, p, _ = projectors.shape
+    frames = np.empty((n, p, p - 1))
+    for i in range(n):
+        cols = projectors[i].copy()
+        for k in range(p - 1):
+            norms = np.linalg.norm(cols, axis=0)
+            j = int(np.argmax(norms))
+            v = cols[:, j] / norms[j]
+            frames[i, :, k] = v
+            cols = cols - np.outer(v, v @ cols)
+    return frames
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        TargetManifold.sphere(3),
+        TargetManifold.sphere(4),
+        TargetManifold.ellipsoid((1.0, 1.0, 1.3)),
+        TargetManifold.ellipsoid((1.5, 1.0, 0.8)),
+    ],
+    ids=["s2", "s3", "ellipsoid-1-1-1.3", "ellipsoid-1.5-1-0.8"],
+)
+def test_stacked_projectors_and_frames_equal_the_pointwise_loops(target):
+    # bit for bit, so that building a bundle in stacked form moves no output
+    x = np.random.default_rng(19).standard_normal((2000, target.ambient_dim))
+    y = x / np.sqrt(np.sum((x / target.semi_axes) ** 2, axis=1, keepdims=True))
+    projectors = target.tangent_projector(y)
+    expected = np.stack([per_point_projector(target, point) for point in y])
+    np.testing.assert_array_equal(projectors, expected)
+    np.testing.assert_array_equal(target.tangent_projector(y[5]), expected[5])
+    np.testing.assert_array_equal(_fiber_frames(projectors), per_node_frames(expected))
 
 
 def test_build_bundle_rejects_off_manifold_base():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from loopflow.config import (
     RNG_NAME,
     VERSION,
+    RunConfig,
     parse_config,
     parse_config_file,
     resolved_dict,
@@ -88,20 +90,32 @@ def test_field_validation_messages(doc, message):
         parse_config(doc)
 
 
-@pytest.mark.parametrize(
-    "path",
-    [
-        "domain.n_nodes",
-        "domain.diff_order",
-        "target.ambient_dim",
-        "base_map.degree",
-        "perturbation.seed",
-        "perturbation.mode_count",
-        "reduction.newton_max_iter",
-        "lojasiewicz.samples_per_radius",
-        "output.stride",
-    ],
-)
+INTEGER_KEYS = [
+    "domain.n_nodes",
+    "domain.diff_order",
+    "target.ambient_dim",
+    "base_map.degree",
+    "perturbation.seed",
+    "perturbation.mode_count",
+    "reduction.newton_max_iter",
+    "lojasiewicz.samples_per_radius",
+    "output.stride",
+]
+
+
+def test_integer_keys_are_the_int_annotated_fields():
+    # the integer check reads each field's annotation; string annotations
+    # (from __future__ import annotations) would switch it off
+    annotated = [
+        f"{section.name}.{key.name}"
+        for section in dataclasses.fields(RunConfig)
+        for key in dataclasses.fields(section.type)
+        if key.type is int
+    ]
+    assert annotated == INTEGER_KEYS
+
+
+@pytest.mark.parametrize("path", INTEGER_KEYS)
 @pytest.mark.parametrize("bad", [2.5, 4.0, True], ids=["fraction", "integral_float", "bool"])
 def test_integer_keys_reject_floats_and_bools(path, bad):
     name, key = path.split(".")
@@ -132,6 +146,13 @@ def test_finite_verify_entry_validation():
         parse_config(
             doc({"terms": [[[2], 1.0]], "check": "gradient", "radii": [0.1], "color": "red"})
         )
+    with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.terms: non-integer exponent"):
+        parse_config(doc({"label": "x^2.7", "terms": [[[2.7], 1.0]], "check": "gradient", "radii": [0.1]}))
+    with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.terms: "):
+        parse_config(doc({"terms": [[2, 1.0]], "check": "gradient", "radii": [0.1]}))
+    for grid_n in (21.0, True, -3):
+        with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.grid_n must be a positive integer$"):
+            parse_config(doc({"terms": [[[2], 1.0]], "check": "distance", "box": [[-1.0, 1.0]], "grid_n": grid_n}))
 
 
 def test_resolved_dict_echo():

@@ -72,6 +72,13 @@ def test_builder_validation():
         polynomial({})
     with pytest.raises(ValueError, match="malformed"):
         from_term_list([[[1], 1.0, "extra"]])
+    # a fractional exponent used to be truncated silently, 2.7 acting as 2
+    for exps in ((2.7,), (2.0,), (True,)):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            polynomial({exps: 1.0})
+    with pytest.raises(ValueError, match=r"non-integer exponent in term \(2.7,\)"):
+        from_term_list([[[2.7], 1.0]])
+    assert polynomial({(np.int64(2),): 1.0}).terms == (((2,), 1.0),)
 
 
 def test_constant_polynomial():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,14 +252,17 @@ def mixed_cubic_functional():
 
 
 def test_make_functional_spec_validates_partials():
-    with pytest.raises(ValueError, match="partial"):
-        make_functional_spec(
-            label="broken",
-            integrand=lambda th, z, eta: float(np.dot(eta, eta)),
-            partial_z=lambda th, z, eta: np.zeros(3),
-            partial_eta=lambda th, z, eta: 3.0 * np.asarray(eta, dtype=float),
-            validity_radius=1.0,
-        )
+    # the partials are checked on first use, at the bundle's ambient dimension
+    broken = make_functional_spec(
+        label="broken",
+        integrand=lambda th, z, eta: float(np.dot(eta, eta)),
+        partial_z=lambda th, z, eta: np.zeros(3),
+        partial_eta=lambda th, z, eta: 3.0 * np.asarray(eta, dtype=float),
+        validity_radius=1.0,
+    )
+    b = equator_bundle(16)
+    with pytest.raises(ValueError, match="partial_eta"):
+        general_euler_lagrange(b, broken, zero_section(b))
     with pytest.raises(ValueError, match="validity_radius"):
         make_functional_spec(
             label="bad radius",
@@ -266,6 +271,32 @@ def test_make_functional_spec_validates_partials():
             partial_eta=lambda th, z, eta: np.zeros(3),
             validity_radius=0.0,
         )
+
+
+def test_partials_are_checked_in_every_ambient_dimension():
+    # F = |eta|^2 with a partial_eta wrong only in its fourth component:
+    # probes in R^3 cannot see it, the first evaluation on S^3 must
+    def scaled_eta(th, z, eta):
+        out = 2.0 * np.asarray(eta, dtype=float)
+        if out.size > 3:
+            out[3] *= 1.5
+        return out
+
+    func = make_functional_spec(
+        label="fourth partial",
+        integrand=lambda th, z, eta: float(np.dot(eta, eta)),
+        partial_z=lambda th, z, eta: np.zeros_like(z),
+        partial_eta=scaled_eta,
+        validity_radius=1.0,
+    )
+    s2 = equator_bundle(16)
+    assert np.all(np.isfinite(general_euler_lagrange(s2, func, zero_section(s2)).values))
+    mesh = build_circle_mesh(16)
+    th = mesh.node_angles
+    loop = np.stack([np.cos(th), np.sin(th), np.zeros_like(th), np.zeros_like(th)], axis=1)
+    s3 = build_pullback_bundle(mesh, TargetManifold.sphere(4), loop)
+    with pytest.raises(ValueError, match=r"partial_eta\[3\]"):
+        general_euler_lagrange(s3, func, zero_section(s3))
 
 
 def test_quadratic_functional_matches_hand_assembly():
@@ -573,8 +604,9 @@ def assert_banded_equals_dense(b, func=None, at_values=None):
     """The coloured probing of _probed_linearization against the dense oracle."""
     func = energy_functional_on_bundle(b) if func is None else func
     at_values = np.zeros_like(b.base_map) if at_values is None else at_values
-    raw = _probed_linearization(b, func.euler_lagrange_fn, at_values)
-    L_band, asym_band = 0.5 * (raw + raw.T), float(np.max(np.abs(raw - raw.T)))
+    blocks = _probed_linearization(b, func.euler_lagrange_fn, at_values)
+    probed = dataclasses.replace(func, linearization_fn=lambda bnd, v: blocks)
+    L_band, asym_band = frame_linearization(b, probed, at_values)
     L_dense, asym_dense = dense_frame_linearization(b, func, at_values)
     np.testing.assert_allclose(L_band, L_dense, atol=1e-8)
     assert asym_band < 1e-4
@@ -653,6 +685,8 @@ def test_chart_energy_linearization_matches_the_dense_oracle(target, order, n):
     raw = 0.02 * np.random.default_rng(21).standard_normal(b.base_map.shape)
     for at_values in (np.zeros_like(b.base_map), project_section(b, raw).values):
         for f in (func, with_quartic_penalty(func, 5.0)):
+            _, upper, lower = f.linearization_fn(b, at_values)
+            np.testing.assert_array_equal(lower, upper.transpose(0, 2, 1))
             L, asym = frame_linearization(b, f, at_values=at_values)
             L_dense, _ = dense_frame_linearization(b, f, at_values)
             scale = np.max(np.abs(L))
