@@ -13,6 +13,12 @@ import numpy as np
 
 from .mesh import _differences, differentiate
 
+__all__ = [
+    "PullbackBundle", "BundleSection", "build_pullback_bundle", "section", "project_section",
+    "zero_section", "bundle_gradient", "l2_inner", "l2_norm", "sobolev_norms", "chart_encode",
+    "chart_decode",
+]
+
 _FIBER_TOL = 1e-10
 _CHART_DOT_MIN = 0.1
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,8 +58,6 @@ from .variational import (
 )
 
 __all__ = ["main", "make_initial_map", "build_parser"]
-
-_SUBCOMMANDS = ("energy-eval", "flow-run", "loj-estimate", "reduce-run", "finite-verify")
 
 
 # -- initial data ----------------------------------------------------------
@@ -189,15 +188,11 @@ def _run_energy_eval(config, outdir, seed):
 
 def _run_flow(config, outdir, seed):
     state = make_initial_map(config, seed)
-    stride = config.output.stride
-    trace = run_flow(state, config.flow, distance_stride=stride)
-    n = len(trace.times)
-    indices = list(range(0, n, stride))
-    if indices[-1] != n - 1:
-        indices.append(n - 1)
+    trace = run_flow(state, config.flow, distance_stride=config.output.stride)
+    # the rows whose map run_flow kept: every stride-th step and the last
     rows = [
         (trace.times[i], trace.energies[i], trace.grad_norms[i], trace.dist_to_limit[i])
-        for i in indices
+        for i in np.flatnonzero(~np.isnan(trace.dist_to_limit))
     ]
     _write_csv(outdir, "trace.csv", ("t", "energy", "grad_norm", "dist_to_limit"), rows)
     try:
@@ -284,13 +279,7 @@ def _run_loj_estimate(config, outdir, seed):
     )
     fit = estimate_gradient_exponent(cloud)
     report = {
-        "fit": {
-            "theta": fit.theta,
-            "constant": fit.constant,
-            "r_squared": fit.r_squared,
-            "sample_count": fit.sample_count,
-            "noise_floor_hits": fit.noise_floor_hits,
-        },
+        "fit": asdict(fit),
         "verification_at_half": verify_inequality(cloud, 0.5),
         "n_flow_pairs": int(traj_gaps.size),
         "n_perturbation_pairs": len(pert_gaps),
@@ -326,36 +315,31 @@ def _run_reduce(config, outdir, seed):
     )
 
 
+def _verify_entry(entry, seed):
+    """exponent_table.json's row for one finite_verify.polynomials entry."""
+    label = entry.get("label", "?")
+    f = from_term_list(entry["terms"])
+    if entry["check"] == "gradient":
+        fit = finite_dim_gradient_exponent(f, np.zeros(f.n_vars), entry["radii"], seed=seed)
+        return {
+            "label": label,
+            "check": "gradient",
+            "exponent": fit.theta,
+            "constant": fit.constant,
+            "r_squared": fit.r_squared,
+            "sample_count": fit.sample_count,
+        }
+    alpha, c = finite_dim_distance_exponent(f, entry["box"], entry["grid_n"])
+    return {"label": label, "check": "distance", "exponent": alpha, "constant": c}
+
+
 def _run_finite_verify(config, outdir, seed):
     rows = []
-    for entry in config.finite_verify.polynomials:
-        label = entry.get("label", "?")
-        f = from_term_list(entry["terms"])
-        check = entry["check"]
-        if check == "gradient":
-            fit = finite_dim_gradient_exponent(
-                f, np.zeros(f.n_vars), entry["radii"], seed=seed
-            )
-            rows.append(
-                {
-                    "label": label,
-                    "check": "gradient",
-                    "exponent": fit.theta,
-                    "constant": fit.constant,
-                    "r_squared": fit.r_squared,
-                    "sample_count": fit.sample_count,
-                }
-            )
-        else:
-            alpha, c = finite_dim_distance_exponent(f, entry["box"], entry["grid_n"])
-            rows.append(
-                {
-                    "label": label,
-                    "check": "distance",
-                    "exponent": alpha,
-                    "constant": c,
-                }
-            )
+    for i, entry in enumerate(config.finite_verify.polynomials):
+        try:
+            rows.append(_verify_entry(entry, seed))
+        except ValueError as exc:
+            raise ValueError(f"finite_verify.polynomials[{i}]: {exc}") from exc
     _write_json(outdir, "exponent_table.json", {"table": rows})
     for row in rows:
         print(f"{row['label']}: {row['check']} exponent {row['exponent']!r}")
@@ -379,7 +363,7 @@ def build_parser():
         description="Variational analysis of loop energies on spheres and ellipsoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output directory override")

@@ -31,7 +31,7 @@ class DomainSection:
 class TargetSection:
     kind: str = "sphere"
     ambient_dim: int = 3
-    semi_axes: Optional[list] = None
+    semi_axes: Optional[list[float]] = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ReductionSection:
 
 @dataclass(frozen=True)
 class LojasiewiczSection:
-    radii: list = field(default_factory=lambda: [0.005, 0.01, 0.02])
+    radii: list[float] = field(default_factory=lambda: [0.005, 0.01, 0.02])
     samples_per_radius: int = 20
 
 
@@ -99,6 +99,19 @@ class RunConfig:
     finite_verify: FiniteVerifySection = field(default_factory=FiniteVerifySection)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_interval(pair):
+    ok = isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
+    return ok and pair[0] < pair[1]
+
+
 def _build_section(name, cls, data):
     if not isinstance(data, dict):
         raise ValueError(f"section '{name}' must be an object")
@@ -106,6 +119,27 @@ def _build_section(name, cls, data):
     for key in data:
         if key not in allowed:
             raise ValueError(f"unknown key '{name}.{key}'")
+    # Each given value is checked against its field's annotation before
+    # the section is built. A field annotated int counts or indexes
+    # something, and JSON writes an integer without a point, so a float
+    # there (even 2.0) or a bool is rejected by name: a degree of 1.5 would
+    # build an open loop, and an iteration cap of 2.5 would act as 2. A
+    # float field, and each entry of a list[float] field, takes any number
+    # but a bool, and a list[float] field (unless Optional) must be a list.
+    for key in fields(cls):
+        if key.name not in data:
+            continue
+        value, path = data[key.name], f"{name}.{key.name}"
+        if key.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{path} must be an integer")
+        if key.type is float and not _is_number(value):
+            raise ValueError(f"{path} must be a number")
+        if key.type == list[float] and not isinstance(value, list):
+            raise ValueError(f"{path} must be a list of numbers")
+        if key.type in (list[float], Optional[list[float]]) and isinstance(value, list):
+            for i, entry in enumerate(value):
+                if not _is_number(entry):
+                    raise ValueError(f"{path}[{i}] must be a number")
     try:
         return cls(**data)
     except ValueError as exc:  # FlowConfig checks its own fields
@@ -113,15 +147,6 @@ def _build_section(name, cls, data):
 
 
 def _validate(config):
-    # Every section field annotated int counts or indexes something. JSON
-    # writes an integer without a point, so a float there (even 2.0) or a
-    # bool is rejected by name: a degree of 1.5 would build an open loop,
-    # and an iteration cap of 2.5 would be echoed as given but act as 2.
-    for section in fields(config):
-        for key in fields(section.type):
-            value = getattr(getattr(config, section.name), key.name)
-            if key.type is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"{section.name}.{key.name} must be an integer")
     checks = [
         (config.domain.n_nodes >= 8, "domain.n_nodes must be at least 8"),
         (config.domain.diff_order in (2, 4), "domain.diff_order must be 2 or 4"),
@@ -167,17 +192,27 @@ def _validate(config):
         if "terms" not in entry:
             raise ValueError(f"{where} needs a 'terms' list")
         try:
-            from_term_list(entry["terms"])
+            n_vars = from_term_list(entry["terms"]).n_vars
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}.terms: {exc}") from exc
         check = entry.get("check")
         if check not in ("gradient", "distance"):
             raise ValueError(f"{where}.check must be 'gradient' or 'distance'")
-        if check == "gradient" and not entry.get("radii"):
-            raise ValueError(f"{where} needs nonempty 'radii' for a gradient check")
+        if check == "gradient":
+            radii = entry.get("radii")
+            if not radii:
+                raise ValueError(f"{where} needs nonempty 'radii' for a gradient check")
+            if not isinstance(radii, list) or not all(_is_finite(r) for r in radii):
+                raise ValueError(f"{where}.radii must be a list of finite numbers")
         if check == "distance":
             if not entry.get("box") or not entry.get("grid_n"):
                 raise ValueError(f"{where} needs 'box' and 'grid_n' for a distance check")
+            box = entry["box"]
+            if not (isinstance(box, list) and len(box) == n_vars and all(map(_is_interval, box))):
+                raise ValueError(
+                    f"{where}.box must hold one [lo, hi] pair of finite numbers, lo < hi, "
+                    f"per variable of the polynomial ({n_vars})"
+                )
             grid_n = entry["grid_n"]
             if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 1:
                 raise ValueError(f"{where}.grid_n must be a positive integer")

@@ -18,7 +18,8 @@ Traces store scalars per step. For dist_to_limit the flow also keeps a
 copy of the map at every distance_stride-th step, in preallocated blocks
 of rows, and measures each kept map against the terminal state once the
 flow stops: the trajectory is integrated once, and the kept maps cost
-(recorded rows) x n x p x 8 bytes.
+(recorded rows) x n x p x 8 bytes. The rate fit's lines come from
+lojasiewicz._ols, the package's one least-squares helper.
 """
 
 import math
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lojasiewicz import _ols
 from .mesh import integrate
 from .targets import _tangent_part
 from .variational import MapState, _bind_tension
@@ -188,28 +190,6 @@ def run_flow(initial, config, distance_stride=1):
         dist_to_limit=dist,
         config_echo=echo,
     )
-
-
-def _ols(x, y):
-    """Least-squares line y = slope x + intercept: (slope, intercept, r^2, sse)."""
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit = A @ coef
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(coef[0]), float(coef[1]), r2, ss_res
-
-
-def _common_slope(x, y, groups):
-    """Least-squares slope that every group shares, each group with its
-    own intercept: one lstsq on x and one indicator column per group."""
-    _, index = np.unique(groups, return_inverse=True)
-    A = np.column_stack([x, index[:, None] == np.arange(index.max() + 1)])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < A.shape[1]:
-        raise ValueError("common slope is undetermined: no group spans two distinct x")
-    return float(coef[0])
 
 
 def _gaps_to_limit(trace):

@@ -2,12 +2,16 @@
 verification of the classical gradient and distance inequalities for
 polynomials.
 
-Section-level clouds pair |F(u) - F(critical)| with a gradient norm and
-are fitted by ordinary least squares in log-log space. Finite
-dimensional polynomial fits instead use the lower envelope of the
-scatter: the inequality |f|^theta <= C |grad f| binds along the worst
-direction (think x^2 + y^4 near 0, where the y-axis forces theta = 3/4),
-and a plain regression over all directions would average it away.
+Every exponent, rate and approximation order of the package is the
+slope of a line fit, and _ols is the package's one least-squares
+helper: the flow's rate fit and the reduction's approximation sweep
+call it too. Section-level clouds pair |F(u) - F(critical)| with a
+gradient norm and are fitted by ordinary least squares in log-log
+space. Finite dimensional polynomial fits instead use the lower
+envelope of the scatter: the inequality |f|^theta <= C |grad f| binds
+along the worst direction (think x^2 + y^4 near 0, where the y-axis
+forces theta = 3/4), and a plain regression over all directions would
+average it away.
 The integrability verdict solves nothing: it reads |f(xi)| from a
 reduction.sandwich_sweep, so it shares its kernel samples with the
 sandwich ratios.
@@ -16,8 +20,6 @@ sandwich ratios.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .flow import _ols
 
 __all__ = [
     "ExponentFit",
@@ -31,6 +33,30 @@ __all__ = [
 ]
 
 _FLOOR = 1e-13
+
+
+def _ols(x, y, groups=None):
+    """Least-squares line y = slope x + intercept: (slope, intercept, r^2, sse).
+
+    With groups, every group shares the slope and has its own intercept
+    (one indicator column per group), and intercept is the first
+    group's. A line the points do not determine (one point, constant x,
+    or no group spanning two distinct x) raises.
+    """
+    if groups is None:
+        indicators = np.ones((len(x), 1))
+    else:
+        index = np.unique(groups, return_inverse=True)[1]
+        indicators = index[:, None] == np.arange(index.max() + 1)
+    A = np.column_stack([x, indicators])
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    if rank < A.shape[1]:
+        raise ValueError("line fit is undetermined: no group of samples has two distinct x")
+    fit = A @ coef
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return float(coef[0]), float(coef[1]), r2, ss_res
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+__all__ = [
+    "DomainMesh", "build_circle_mesh", "differentiate", "laplace_beltrami", "forward_difference",
+    "integrate",
+]
+
 TWO_PI = 2.0 * np.pi
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import _check_same_bundle, l2_norm, project_section, section, sobolev_norms
-from .flow import _common_slope, _ols
+from .lojasiewicz import _ols
 from .variational import (
     _from_coords,
     _to_coords,
@@ -450,7 +450,7 @@ def approximation_sweep(workspace, seed=0):
     return {
         "amplitudes": [float(a) for a in amplitudes],
         "n_samples": int(lhs_all.size),
-        "slope": _common_slope(x, y, direction),
+        "slope": _ols(x, y, direction)[0],
         "direction_slopes": direction_slopes,
         "constant": constant,
         "lhs": lhs_all.tolist(),

@@ -11,11 +11,13 @@ energy's linearization uses. The level set G(y) = sum y^2 / a^2 - 1
 gives the unit normal and the second fundamental form, which appears
 only as the tension field's curvature term, _tangent_curvature: it
 takes the tangent part of Du and contracts the shape operator with it
-from one unit normal per point. The sphere keeps two shortcuts, x / |x|
-for Pi and its three-operation dPi, because they are cheaper on the
-flow's hot path; projection computes |x| once, for the tube check and
-the division. A tube radius below the reach a_min^2 / a_max bounds the
-neighborhood on which projection and chart operations are trusted; a
+from one unit normal per point. The tube check hands on the
+projection's denominator d = a^2 + t, which is |x| on a sphere (there
+a^2 = 1 and t = |x| - 1), and projection and its derivatives use d as
+given. The sphere keeps two shortcuts, x / |x| for Pi and its
+three-operation dPi, because they are cheaper on the flow's hot path.
+A tube radius below the reach a_min^2 / a_max bounds the neighborhood
+on which projection and chart operations are trusted; a
 point belongs to it when its exact distance |x - Pi(x)| is below the
 radius: on a sphere that is ||x| - 1| < radius, which also rejects
 x = 0, NaN and inf.
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+__all__ = ["TargetManifold"]
 
 _PROJ_TOL = 1e-13
 _PROJ_MAX_ITER = 200
@@ -99,10 +103,10 @@ class TargetManifold:
 
     @cached_property
     def _tube(self):
-        """x -> (inside, s): the tube check of in_tube, and the scale s of
-        every row that projection goes on to use: |x| on a sphere, and on
-        an ellipsoid the multiplier t once it has been solved (else None).
-        s has shape x.shape[:-1] + (1,).
+        """x -> (inside, d): the tube check of in_tube, and every row's
+        projection denominator d = a^2 + t, Pi(x) = a^2 x / d: |x| on a
+        sphere, and on an ellipsoid a^2 plus the multiplier t once it has
+        been solved (else None). d has shape x.shape[:-1] + (1,).
 
         The sphere's distance ||x| - 1| is exact, and comparing it with
         the radius rejects x = 0 (the radius is below 1), NaN and inf. On
@@ -112,8 +116,8 @@ class TargetManifold:
         _multiplier changes sign. A row where g does not change sign on
         (-e, e) is outside the tube (x = 0, NaN and points near the centre
         among them) and fails before the solve. For the others the sign
-        change guarantees the one solve a root, and |t x / (a^2 + t)| is
-        the exact distance.
+        change guarantees the one solve a root, and |t x / d| is the exact
+        distance.
         """
         radius = self.tube_radius
         if self.kind == "sphere":
@@ -134,8 +138,9 @@ class TargetManifold:
             if not (g_ends * signs > 0.0).all():
                 return False, None
             t = self._multiplier(x)
-            offset = t * x / (a2 + t)
-            return bool((np.add.reduce(offset * offset, -1) < radius2).all()), t
+            d = a2 + t
+            offset = t * x / d
+            return bool((np.add.reduce(offset * offset, -1) < radius2).all()), d
 
         return tube
 
@@ -197,8 +202,8 @@ class TargetManifold:
 
     @cached_property
     def _nearest(self):
-        """x -> (y, s): project_nearest's point y and the scale s of x that
-        _tube returns, for callers that go on to _differential."""
+        """x -> (y, d): project_nearest's point y and the denominator d of x
+        that _tube returns, for callers that go on to _differential."""
         dim = self.ambient_dim
         tube = self._tube
         a2 = None if self.kind == "sphere" else self._a2
@@ -207,12 +212,10 @@ class TargetManifold:
             x = np.asarray(x, dtype=float)
             if x.shape[-1] != dim:
                 raise ValueError(f"point has dimension {x.shape[-1]}, target lives in R^{dim}")
-            inside, s = tube(x)
+            inside, d = tube(x)
             if not inside:
                 raise ValueError("point outside the tube neighborhood of the target")
-            if a2 is None:
-                return x / s, s
-            return a2 * x / (a2 + s), s
+            return (x if a2 is None else a2 * x) / d, d
 
         return nearest
 
@@ -262,32 +265,31 @@ class TargetManifold:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        inside, s = self._tube(x)
+        inside, d = self._tube(x)
         if not inside:
             raise ValueError("base point outside the tube neighborhood")
-        return self._differential(x, v, s)
+        return self._differential(x, v, d)
 
-    def _differential(self, x, v, s):
+    def _differential(self, x, v, d):
         """differential_of_projection without the tube check, for callers
-        that have just checked x; s is the scale of x that _tube returned
-        (|x| on a sphere, t on an ellipsoid)."""
+        that have just checked x; d is the denominator of x that _tube
+        returned (|x| on a sphere)."""
         if self.kind == "sphere":
-            return _tangent_part(v, x / s) / s
-        # Differentiating y = D x, D = a^2 / (a^2 + t), along the constraint
-        # G(y) = 0 gives dPi(v) = D v - w <w, v> / <w, y / a^2>, w = y / (a^2 + t).
+            return _tangent_part(v, x / d) / d
+        # Differentiating y = a^2 x / d along the constraint G(y) = 0 gives
+        # dPi(v) = a^2 v / d - w <w, v> / <w, x / d>, w = a^2 x / d^2.
         a2 = self._a2
-        d = a2 + s
         w = a2 * x / (d * d)
         dt = np.sum(w * v, axis=-1, keepdims=True) / np.sum(w * x / d, axis=-1, keepdims=True)
         return a2 * v / d - dt * w
 
-    def _differential_jet(self, x, g, s):
+    def _differential_jet(self, x, g, d):
         """H_x(g), the derivative of x -> dPi_x(g) with g held fixed, as an
-        (n, p, p) stack for (n, p) rows x and g; s is the scale of x that
-        _tube returned.
+        (n, p, p) stack for (n, p) rows x and g; d is the denominator of x
+        that _tube returned.
 
-        One formula serves both kinds. With d = a^2 + t (d = |x| and a^2 = 1
-        on a sphere), w = a^2 x / d^2 and beta = <w, x / d>, implicit
+        One formula serves both kinds. With d = a^2 + t (a^2 = 1 on a
+        sphere), w = a^2 x / d^2 and beta = <w, x / d>, implicit
         differentiation of the multiplier's equation gives grad t = w / beta
         and dPi = diag(a^2 / d) - w w^T / beta, which _differential applies;
         differentiating dPi g along v, with <grad t, v> entering d, beta and
@@ -295,7 +297,6 @@ class TargetManifold:
         (|x|^2 - dist(x)^2) / 2.
         """
         a2 = self._a2
-        d = s if self.kind == "sphere" else a2 + s
         w = a2 * x / (d * d)
         wd = w / d
         beta = np.add.reduce(wd * x, -1)[:, None, None]

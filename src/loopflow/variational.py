@@ -351,11 +351,10 @@ def energy_functional_on_bundle(bundle):
     def el_fn(bnd, values):
         require_own(bnd)
         x = bnd.base_map + values
-        points, scale = bnd.target._nearest(x)
+        points, denom = bnd.target._nearest(x)
         # dPi is symmetric, so it is its own transpose; _nearest has just
-        # checked that x lies in the tube and found its scale (|x| or the
-        # ellipsoid multiplier).
-        return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), scale)
+        # checked that x lies in the tube and found its denominator d.
+        return bnd.target._differential(x, -2.0 * laplace_beltrami(compact, points), denom)
 
     def linearization_fn(bnd, values):
         # el = dPi(x) g with g = -2 Delta_c Pi(x), so its Jacobian is
@@ -363,12 +362,12 @@ def energy_functional_on_bundle(bundle):
         # neighbour couplings -2/h^2 B_j^T B_j+1, with B = dPi F.
         require_own(bnd)
         x = bnd.base_map + values
-        points, scale = bnd.target._nearest(x)
+        points, denom = bnd.target._nearest(x)
         g = -2.0 * laplace_beltrami(compact, points)
-        hess = bnd.target._differential_jet(x, g, scale)
+        hess = bnd.target._differential_jet(x, g, denom)
         frames = bnd.frames
         # Row a of Bt is dPi applied to frame column a: Bt = (dPi F)^T.
-        Bt = bnd.target._differential(x[:, None, :], frames.transpose(0, 2, 1), scale[:, None, :])
+        Bt = bnd.target._differential(x[:, None, :], frames.transpose(0, 2, 1), denom[:, None, :])
         h2 = bnd.mesh.spacing ** 2
         diag = np.einsum("nia,nij,njb->nab", frames, hess, frames)
         diag += (4.0 / h2) * (Bt @ Bt.transpose(0, 2, 1))

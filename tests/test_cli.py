@@ -301,6 +301,17 @@ def test_finite_verify_artifacts(tmp_path):
     assert abs(table[1]["exponent"] - 2.0) < 0.05
 
 
+def test_finite_verify_names_the_entry_whose_run_fails(tmp_path, capsys):
+    # the config is valid, but at grid_n 2 the circle's distance envelope
+    # is one point, and the line through it is undetermined
+    circle = {"terms": [[[2, 0], 1.0], [[0, 2], 1.0], [[0, 0], -0.25]], "check": "distance",
+              "box": [[-1.0, 1.0], [-1.0, 1.0]], "grid_n": 2}
+    config_path = write_config(tmp_path, {"finite_verify": {"polynomials": [circle]}})
+    assert main(["finite-verify", "--config", config_path, "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("finite_verify.polynomials[0]: line fit is undetermined")
+
+
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         main(["render", "--config", "missing.json"])
@@ -332,7 +343,13 @@ def test_import_defaults_openblas_to_one_thread(preset, imports, expected):
     assert out.stdout.strip() == expected
 
 
-@pytest.mark.parametrize("module", ["flow", "lojasiewicz", "polynomials", "reduction", "variational"])
+@pytest.mark.parametrize(
+    "module",
+    ["bundles", "config", "flow", "lojasiewicz", "mesh", "polynomials", "reduction", "targets", "variational"],
+)
 def test_public_names_are_exported_at_the_package_root(module):
-    names = importlib.import_module(f"loopflow.{module}").__all__
-    assert [name for name in names if not hasattr(loopflow, name)] == []
+    # every module but cli states its public names once, and the root
+    # star-imports them
+    module = importlib.import_module(f"loopflow.{module}")
+    assert "__all__" in vars(module)
+    assert [name for name in module.__all__ if getattr(loopflow, name, None) is not getattr(module, name)] == []

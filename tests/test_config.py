@@ -83,6 +83,16 @@ def test_document_and_section_shape_checks():
         ('{"lojasiewicz": {"radii": []}}', "nonempty"),
         ('{"lojasiewicz": {"samples_per_radius": 0}}', "at least 1"),
         ('{"output": {"stride": 0}}', "at least 1"),
+        ('{"perturbation": {"amplitude": "x"}}', r"^perturbation\.amplitude must be a number$"),
+        ('{"flow": {"dt_factor": "x"}}', r"^flow\.dt_factor must be a number$"),
+        ('{"flow": {"t_max": true}}', r"^flow\.t_max must be a number$"),
+        ('{"reduction": {"kernel_tol": [1]}}', r"^reduction\.kernel_tol must be a number$"),
+        ('{"lojasiewicz": {"radii": ["a"]}}', r"^lojasiewicz\.radii\[0\] must be a number$"),
+        ('{"lojasiewicz": {"radii": 0.01}}', r"^lojasiewicz\.radii must be a list of numbers$"),
+        (
+            '{"target": {"kind": "ellipsoid", "semi_axes": ["a", 1, 1]}}',
+            r"^target\.semi_axes\[0\] must be a number$",
+        ),
     ],
 )
 def test_field_validation_messages(doc, message):
@@ -150,6 +160,14 @@ def test_finite_verify_entry_validation():
         parse_config(doc({"label": "x^2.7", "terms": [[[2.7], 1.0]], "check": "gradient", "radii": [0.1]}))
     with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.terms: "):
         parse_config(doc({"terms": [[2, 1.0]], "check": "gradient", "radii": [0.1]}))
+    for radii in (["a"], [0.1, True], [0.1, float("inf")], 0.1):
+        with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.radii must be "):
+            parse_config(doc({"terms": [[[2], 1.0]], "check": "gradient", "radii": radii}))
+    x2y2 = [[[2, 2], 1.0]]
+    for box in ([[-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]], [[-1.0, 1.0], [-1.0, "1"]],
+                [[-1.0, 1.0], [-1.0, float("nan")]], [[-1.0, 1.0], [-1.0]], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.box must "):
+            parse_config(doc({"terms": x2y2, "check": "distance", "box": box, "grid_n": 21}))
     for grid_n in (21.0, True, -3):
         with pytest.raises(ValueError, match=r"^finite_verify\.polynomials\[0\]\.grid_n must be a positive integer$"):
             parse_config(doc({"terms": [[[2], 1.0]], "check": "distance", "box": [[-1.0, 1.0]], "grid_n": grid_n}))

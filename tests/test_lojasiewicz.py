@@ -4,6 +4,7 @@ import pytest
 from loopflow.bundles import build_pullback_bundle
 from loopflow.lojasiewicz import (
     ExponentFit,
+    _ols,
     estimate_gradient_exponent,
     finite_dim_distance_exponent,
     finite_dim_gradient_exponent,
@@ -202,6 +203,27 @@ def test_distance_exponent_input_checks():
     g = polynomial({(2,): 1.0, (0,): 1.0})
     with pytest.raises(ValueError, match="no zeros"):
         finite_dim_distance_exponent(g, [(-1.0, 1.0)], 21)
+
+
+def test_distance_exponent_raises_when_the_envelope_is_one_point():
+    # At grid_n 2 the coarse grid is the four corners of the box, all at
+    # one distance from the circle of radius 1/2, so the envelope holds one
+    # point; the line through it used to be lstsq's minimum-norm slope,
+    # 0.0617, where the true exponent is 1.
+    f = polynomial({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -0.25})
+    with pytest.raises(ValueError, match="undetermined"):
+        finite_dim_distance_exponent(f, [(-1.0, 1.0), (-1.0, 1.0)], 2)
+
+
+def test_ols_fits_a_line_and_raises_when_it_is_undetermined():
+    x = np.array([0.5, 1.0, 3.0])
+    slope, intercept, r2, sse = _ols(x, 3.0 * x - 2.0)
+    assert abs(slope - 3.0) < 1e-12 and abs(intercept + 2.0) < 1e-12
+    assert r2 == pytest.approx(1.0) and sse < 1e-24
+    with pytest.raises(ValueError, match="undetermined"):
+        _ols(np.array([1.0]), np.array([2.0]))
+    with pytest.raises(ValueError, match="undetermined"):
+        _ols(np.full(4, 2.0), np.arange(4.0))
 
 
 # -- reduced-function integrability probe -----------------------------------
