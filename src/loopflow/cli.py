@@ -384,6 +384,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     outdir = None
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError("--seed must be nonnegative")
         config = parse_config_file(args.config)
         outdir = _resolve_outdir(args, config)
         os.makedirs(outdir, exist_ok=True)

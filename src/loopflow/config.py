@@ -2,15 +2,22 @@
 
 Configs are plain JSON with one section per concern. Unknown keys are
 rejected by full path ("domain.mesh_size") so typos cannot silently fall
-back to defaults. The flow section is flow.FlowConfig itself, which
-checks its own values. The resolved configuration is echoed next to
-every output so a run can be reproduced from its artifacts alone.
+back to defaults. Each key is declared once, on its section's field:
+the annotation gives its type and _key its default and its rule, and
+_build_section checks every given value against both, naming the key's
+path when one fails. _validate holds only the rules that join keys. A
+finite_verify.polynomials entry is checked the same way, against
+_PolynomialEntry, and kept as given. The flow section is flow.FlowConfig
+itself, which also checks its own values. The resolved configuration is
+echoed next to every output so a run can be reproduced from its
+artifacts alone.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Optional, Union, get_args, get_origin
 
 from .flow import FlowConfig
 from .polynomials import from_term_list
@@ -21,59 +28,98 @@ VERSION = "0.1.0"
 RNG_NAME = "numpy-pcg64"
 
 
+def _is_number(value):
+    """A float, or an integer (not a bool) that a float can hold."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_interval(pair):
+    ok = isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
+    return ok and pair[0] < pair[1]
+
+
+# Each annotation's test of a given value, and its noun in the error; an
+# Optional field also takes null. An int key counts or indexes something,
+# so a float (even 2.0: a degree of 1.5 would build an open loop) or a bool
+# fails. Each entry of a list[float] value is then checked on its own.
+_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list), "a list"),
+    list[float]: (lambda v: isinstance(v, list), "a list of numbers"),
+}
+
+
+def _key(default=MISSING, rule=None, says=None, noun=None):
+    """A field's default and its rule: a given value that breaks the rule
+    fails as "<path> must be <says>". A noun states type and rule at once,
+    in place of the annotation's noun and of says. A list default is
+    copied for each config; a key with no default must be given."""
+    meta = {"rule": rule, "says": says or noun, "noun": noun}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class DomainSection:
-    n_nodes: int = 128
-    diff_order: int = 2
+    n_nodes: int = _key(128, lambda v: v >= 8, "at least 8")
+    diff_order: int = _key(2, lambda v: v in (2, 4), "2 or 4")
 
 
 @dataclass(frozen=True)
 class TargetSection:
-    kind: str = "sphere"
-    ambient_dim: int = 3
-    semi_axes: Optional[list[float]] = None
+    kind: str = _key("sphere", lambda v: v in ("sphere", "ellipsoid"), "sphere or ellipsoid")
+    ambient_dim: int = _key(3, lambda v: v >= 2, "at least 2")
+    semi_axes: Optional[list[float]] = _key(None, lambda v: all(0.0 < a < math.inf for a in v),
+                                            "a list of positive finite lengths")
 
 
 @dataclass(frozen=True)
 class BaseMapSection:
     degree: int = 1
-    file: Optional[str] = None
+    file: Optional[str] = _key(None, bool, "a nonempty path")
 
 
 @dataclass(frozen=True)
 class PerturbationSection:
-    seed: int = 0
-    amplitude: float = 0.05
-    mode_count: int = 3
+    seed: int = _key(0, lambda v: v >= 0, "nonnegative")
+    amplitude: float = _key(0.05, lambda v: v >= 0.0, "nonnegative")
+    mode_count: int = _key(3, lambda v: v >= 1, "at least 1")
 
 
 @dataclass(frozen=True)
 class ReductionSection:
-    kernel_tol: float = 1e-6
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
+    kernel_tol: float = _key(1e-6, lambda v: v > 0.0, "positive")
+    newton_tol: float = _key(1e-10, lambda v: 0.0 < v < math.inf, "positive and finite")
+    newton_max_iter: int = _key(50, lambda v: v >= 1, "at least 1")
 
 
 @dataclass(frozen=True)
 class LojasiewiczSection:
-    radii: list[float] = field(default_factory=lambda: [0.005, 0.01, 0.02])
-    samples_per_radius: int = 20
+    radii: list[float] = _key([0.005, 0.01, 0.02], lambda v: v and all(r >= 0.0 for r in v),
+                              "a nonempty list of nonnegative numbers")
+    samples_per_radius: int = _key(20, lambda v: v >= 1, "at least 1")
 
 
 @dataclass(frozen=True)
 class OutputSection:
-    directory: str = "out"
-    stride: int = 1
+    directory: str = _key("out", bool, "nonempty")
+    stride: int = _key(1, lambda v: v >= 1, "at least 1")
 
 
 def _default_polynomials():
+    radii = [0.001, 0.00316, 0.01, 0.0316, 0.1]
     return [
-        {"label": "x^2", "terms": [[[2], 1.0]], "check": "gradient",
-         "radii": [0.001, 0.00316, 0.01, 0.0316, 0.1]},
-        {"label": "x^4", "terms": [[[4], 1.0]], "check": "gradient",
-         "radii": [0.001, 0.00316, 0.01, 0.0316, 0.1]},
+        {"label": "x^2", "terms": [[[2], 1.0]], "check": "gradient", "radii": radii},
+        {"label": "x^4", "terms": [[[4], 1.0]], "check": "gradient", "radii": radii},
         {"label": "x^2+y^4", "terms": [[[2, 0], 1.0], [[0, 4], 1.0]], "check": "gradient",
-         "radii": [0.001, 0.00316, 0.01, 0.0316, 0.1]},
+         "radii": radii},
         {"label": "x^2 zero set", "terms": [[[2], 1.0]], "check": "distance",
          "box": [[-1.0, 1.0]], "grid_n": 21},
         {"label": "x^2 y^2 zero set", "terms": [[[2, 2], 1.0]], "check": "distance",
@@ -84,6 +130,20 @@ def _default_polynomials():
 @dataclass(frozen=True)
 class FiniteVerifySection:
     polynomials: list = field(default_factory=_default_polynomials)
+
+
+@dataclass(frozen=True)
+class _PolynomialEntry:
+    """The keys of a finite_verify.polynomials entry, for checking only:
+    the config keeps each entry as the object it was given."""
+
+    terms: list = _key()
+    check: str = _key(rule=lambda v: v in ("gradient", "distance"), says="'gradient' or 'distance'")
+    label: str = "?"
+    radii: Optional[list] = _key(None, lambda v: all(map(_is_finite, v)), noun="a list of finite numbers")
+    box: Optional[list] = _key(None, lambda v: all(map(_is_interval, v)),
+                               noun="a list of [lo, hi] pairs of finite numbers, lo < hi")
+    grid_n: Optional[int] = _key(None, lambda v: v >= 1, noun="a positive integer")
 
 
 @dataclass(frozen=True)
@@ -99,47 +159,34 @@ class RunConfig:
     finite_verify: FiniteVerifySection = field(default_factory=FiniteVerifySection)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    return _is_number(value) and math.isfinite(value)
-
-
-def _is_interval(pair):
-    ok = isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
-    return ok and pair[0] < pair[1]
-
-
 def _build_section(name, cls, data):
+    """cls(**data), once each given value has its field's type and meets
+    its field's rule; each failure names the key's path."""
     if not isinstance(data, dict):
         raise ValueError(f"section '{name}' must be an object")
     allowed = cls.__dataclass_fields__
     for key in data:
         if key not in allowed:
             raise ValueError(f"unknown key '{name}.{key}'")
-    # Each given value is checked against its field's annotation before
-    # the section is built. A field annotated int counts or indexes
-    # something, and JSON writes an integer without a point, so a float
-    # there (even 2.0) or a bool is rejected by name: a degree of 1.5 would
-    # build an open loop, and an iteration cap of 2.5 would act as 2. A
-    # float field, and each entry of a list[float] field, takes any number
-    # but a bool, and a list[float] field (unless Optional) must be a list.
     for key in fields(cls):
+        path, kind, meta = f"{name}.{key.name}", key.type, key.metadata
         if key.name not in data:
+            if key.default is MISSING and key.default_factory is MISSING:
+                raise ValueError(f"{name} needs a '{key.name}' key")
             continue
-        value, path = data[key.name], f"{name}.{key.name}"
-        if key.type is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{path} must be an integer")
-        if key.type is float and not _is_number(value):
-            raise ValueError(f"{path} must be a number")
-        if key.type == list[float] and not isinstance(value, list):
-            raise ValueError(f"{path} must be a list of numbers")
-        if key.type in (list[float], Optional[list[float]]) and isinstance(value, list):
-            for i, entry in enumerate(value):
-                if not _is_number(entry):
-                    raise ValueError(f"{path}[{i}] must be a number")
+        value = data[key.name]
+        if get_origin(kind) is Union:  # Optional[...]
+            if value is None:
+                continue
+            kind = get_args(kind)[0]
+        is_kind, noun = _TYPES[kind]
+        if not is_kind(value):
+            raise ValueError(f"{path} must be {meta.get('noun') or noun}")
+        for i, entry in enumerate(value if kind == list[float] else ()):
+            if not _is_number(entry):
+                raise ValueError(f"{path}[{i}] must be a number")
+        if meta.get("rule") and not meta["rule"](value):
+            raise ValueError(f"{path} must be {meta['says']}")
     try:
         return cls(**data)
     except ValueError as exc:  # FlowConfig checks its own fields
@@ -147,75 +194,27 @@ def _build_section(name, cls, data):
 
 
 def _validate(config):
-    checks = [
-        (config.domain.n_nodes >= 8, "domain.n_nodes must be at least 8"),
-        (config.domain.diff_order in (2, 4), "domain.diff_order must be 2 or 4"),
-        (config.target.kind in ("sphere", "ellipsoid"), "target.kind must be sphere or ellipsoid"),
-        (config.target.ambient_dim >= 2, "target.ambient_dim must be at least 2"),
-        (config.base_map.degree >= 1 or config.base_map.file is not None,
-         "base_map.degree must be a positive integer"),
-        (config.perturbation.amplitude >= 0.0, "perturbation.amplitude must be nonnegative"),
-        (config.perturbation.mode_count >= 1, "perturbation.mode_count must be at least 1"),
-        (config.reduction.kernel_tol > 0.0, "reduction.kernel_tol must be positive"),
-        (0.0 < config.reduction.newton_tol < math.inf,
-         "reduction.newton_tol must be positive and finite"),
-        (config.reduction.newton_max_iter >= 1, "reduction.newton_max_iter must be at least 1"),
-        (len(config.lojasiewicz.radii) > 0, "lojasiewicz.radii must be nonempty"),
-        (all(r >= 0.0 for r in config.lojasiewicz.radii),
-         "lojasiewicz.radii must be nonnegative"),
-        (config.lojasiewicz.samples_per_radius >= 1,
-         "lojasiewicz.samples_per_radius must be at least 1"),
-        (config.output.stride >= 1, "output.stride must be at least 1"),
-    ]
-    if config.target.kind == "ellipsoid":
-        axes = config.target.semi_axes
-        checks.append(
-            (isinstance(axes, list) and len(axes) == config.target.ambient_dim
-             and all(a > 0 for a in axes),
-             "target.semi_axes must list one positive length per ambient dimension"),
-        )
-    else:
-        checks.append(
-            (config.target.semi_axes is None,
-             "target.semi_axes applies to an ellipsoid only; leave it out for a sphere"),
-        )
-    for ok, message in checks:
-        if not ok:
-            raise ValueError(message)
-    for i, entry in enumerate(config.finite_verify.polynomials):
+    """The rules that join keys; each key's own rule sits on its field."""
+    base, target = config.base_map, config.target
+    if base.degree < 1 and base.file is None:
+        raise ValueError("base_map.degree must be a positive integer")
+    if target.kind == "sphere" and target.semi_axes is not None:
+        raise ValueError("target.semi_axes applies to an ellipsoid only; leave it out for a sphere")
+    if target.kind == "ellipsoid" and len(target.semi_axes or ()) != target.ambient_dim:
+        raise ValueError("target.semi_axes must list one positive length per ambient dimension")
+    for i, given in enumerate(config.finite_verify.polynomials):
         where = f"finite_verify.polynomials[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object")
-        for key in entry:
-            if key not in ("label", "terms", "check", "radii", "box", "grid_n"):
-                raise ValueError(f"unknown key '{where}.{key}'")
-        if "terms" not in entry:
-            raise ValueError(f"{where} needs a 'terms' list")
+        entry = _build_section(where, _PolynomialEntry, given)
         try:
-            n_vars = from_term_list(entry["terms"]).n_vars
-        except (TypeError, ValueError) as exc:
+            n_vars = from_term_list(entry.terms).n_vars
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}.terms: {exc}") from exc
-        check = entry.get("check")
-        if check not in ("gradient", "distance"):
-            raise ValueError(f"{where}.check must be 'gradient' or 'distance'")
-        if check == "gradient":
-            radii = entry.get("radii")
-            if not radii:
-                raise ValueError(f"{where} needs nonempty 'radii' for a gradient check")
-            if not isinstance(radii, list) or not all(_is_finite(r) for r in radii):
-                raise ValueError(f"{where}.radii must be a list of finite numbers")
-        if check == "distance":
-            if not entry.get("box") or not entry.get("grid_n"):
-                raise ValueError(f"{where} needs 'box' and 'grid_n' for a distance check")
-            box = entry["box"]
-            if not (isinstance(box, list) and len(box) == n_vars and all(map(_is_interval, box))):
-                raise ValueError(
-                    f"{where}.box must hold one [lo, hi] pair of finite numbers, lo < hi, "
-                    f"per variable of the polynomial ({n_vars})"
-                )
-            grid_n = entry["grid_n"]
-            if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 1:
-                raise ValueError(f"{where}.grid_n must be a positive integer")
+        if entry.check == "gradient" and not entry.radii:
+            raise ValueError(f"{where} needs nonempty 'radii' for a gradient check")
+        if entry.check == "distance" and (entry.box is None or entry.grid_n is None):
+            raise ValueError(f"{where} needs 'box' and 'grid_n' for a distance check")
+        if entry.check == "distance" and len(entry.box) != n_vars:
+            raise ValueError(f"{where}.box must hold one pair per variable of its terms ({n_vars})")
 
 
 def parse_config(text):

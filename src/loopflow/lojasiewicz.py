@@ -214,8 +214,12 @@ def finite_dim_gradient_exponent(f, critical_point, radii, seed=0):
     dirs = _sphere_directions(f.n_vars, 64, rng)
     radii = np.asarray(radii, dtype=float)
     pts = x0 + radii[:, None, None] * dirs[None, :, :]
-    v = np.abs(f.value(pts) - f0)  # (n_radii, n_dirs)
-    g = np.linalg.norm(f.gradient(pts), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.abs(f.value(pts) - f0)  # (n_radii, n_dirs)
+        g = np.linalg.norm(f.gradient(pts), axis=-1)
+    blown = ~(np.isfinite(v) & np.isfinite(g)).all(axis=1)
+    if blown.any():
+        raise ValueError(f"f or its gradient is not finite at radius {np.min(radii[blown]):g}")
     ok = (v > _FLOOR) & (g > _FLOOR)
     dropped = int(np.sum(~ok))
     if not np.any(ok):

@@ -142,17 +142,14 @@ def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
     )
 
 
-def build_reduction_workspace(
-    bundle,
-    functional,
-    kernel_tol=1e-6,
-    newton_tol=1e-10,
-    newton_max_iter=50,
-):
+def build_reduction_workspace(bundle, functional, kernel_tol=1e-6, newton_tol=1e-10, newton_max_iter=50):
     L_frame, asymmetry = frame_linearization(bundle, functional)
     kernel, vals, chord_inverse, radius, threshold, discarded_min, gap_ratio = _spectral_split(
         L_frame, asymmetry, bundle.mesh.spacing, kernel_tol
     )
+    if not vals.size:
+        raise ValueError(f"kernel_tol {kernel_tol:g} keeps no eigenvalue: the smallest |eigenvalue| "
+                         f"{discarded_min:.3e} is above the threshold {threshold:.3e}")
     for arr in (chord_inverse, kernel, vals):
         arr.setflags(write=False)
     return ReductionWorkspace(
@@ -337,11 +334,14 @@ def sandwich_check(workspace, xi):
 
 
 def _sandwich_at(workspace, u):
-    """sandwich_check at u = Psi(xi.phi), already solved."""
+    """sandwich_check at u = Psi(xi.phi), already solved. An M_F(u) under
+    the floor settles the status, and then no gradient is solved."""
     mf = general_euler_lagrange(workspace.bundle, workspace.functional, u)
     m_norm = l2_norm(mf)
+    if m_norm < _NOISE_FLOOR:
+        return np.nan, "indeterminate"
     g_norm = float(np.linalg.norm(_gradient_at(workspace, u, mf)))
-    if g_norm < _NOISE_FLOOR or m_norm < _NOISE_FLOOR:
+    if g_norm < _NOISE_FLOOR:
         return np.nan, "indeterminate"
     ratio = m_norm / g_norm
     status = "pass" if _SANDWICH_BAND[0] <= ratio <= _SANDWICH_BAND[1] else "fail"

@@ -317,6 +317,76 @@ def test_unknown_subcommand_is_a_usage_error(tmp_path):
         main(["render", "--config", "missing.json"])
 
 
+OVERFLOW_ENTRY = {
+    "label": "x^2", "terms": [[[2], 1.0]], "check": "gradient", "radii": [1e300, 1e301, 1e302, 1e303, 1e304],
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags, named",
+    [
+        ("energy-eval", {"base_map": {"file": 5}}, [], "base_map.file must be a string"),
+        ("energy-eval", {"output": {"directory": 5}}, [], "output.directory must be a string"),
+        ("energy-eval", {"output": {"directory": ""}}, [], "output.directory must be nonempty"),
+        ("finite-verify", {"finite_verify": {"polynomials": 5}}, [], "finite_verify.polynomials must be a list"),
+        (
+            "finite-verify",
+            {"finite_verify": {"polynomials": [{**OVERFLOW_ENTRY, "label": 5}]}},
+            [],
+            "finite_verify.polynomials[0].label must be a string",
+        ),
+        ("energy-eval", {"perturbation": {"seed": -1}}, [], "perturbation.seed must be nonnegative"),
+        ("energy-eval", {}, ["--seed", "-1"], "--seed must be nonnegative"),
+        (
+            "energy-eval",
+            {"target": {"kind": "ellipsoid", "semi_axes": [1, 1, float("inf")]}},
+            [],
+            "target.semi_axes must be a list of positive finite lengths",
+        ),
+        (
+            "reduce-run",
+            {"domain": {"n_nodes": 16}, "reduction": {"kernel_tol": 1e-300}},
+            [],
+            "kernel_tol 1e-300 keeps no eigenvalue",
+        ),
+        (
+            "finite-verify",
+            {"finite_verify": {"polynomials": [OVERFLOW_ENTRY]}},
+            [],
+            "finite_verify.polynomials[0]: f or its gradient is not finite at radius 1e+300",
+        ),
+    ],
+    ids=[
+        "file_not_string", "directory_not_string", "directory_empty", "polynomials_not_list",
+        "label_not_string", "negative_seed_key", "negative_seed_flag", "infinite_semi_axis",
+        "kernel_tol_keeps_none", "overflowing_radii",
+    ],
+)
+def test_bad_input_exits_one_with_one_error_line_naming_it(
+    command, payload, flags, named, tmp_path, monkeypatch, capfd
+):
+    # no --out, so that output.directory is what the run would use
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LOOPFLOW_OUT", raising=False)
+    assert main([command, "--config", write_config(tmp_path, payload), *flags]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(named)
+
+
+def test_overflowing_radii_leave_one_stderr_line(tmp_path):
+    # a fresh interpreter, whose numpy warnings and LAPACK messages reach
+    # stderr as they would for a user, not pytest's warning filter
+    src = os.path.dirname(os.path.dirname(loopflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    config_path = write_config(tmp_path, {"finite_verify": {"polynomials": [OVERFLOW_ENTRY]}})
+    argv = [sys.executable, "-m", "loopflow.cli", "finite-verify", "--config", config_path, "--out", str(tmp_path)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1
+    assert json.loads(run.stderr)["error"].startswith("finite_verify.polynomials[0]: ")
+
+
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 

@@ -173,6 +173,14 @@ def test_gradient_exponent_rejects_noncritical_point():
         finite_dim_gradient_exponent(f, [0.5], np.logspace(-2.2, -1, 8))
 
 
+def test_gradient_exponent_names_the_smallest_radius_that_overflows():
+    # x^2 overflows beyond ~1.3e154; the radii need not be sorted, and no
+    # overflow warning escapes (the suite turns warnings into errors)
+    f = polynomial({(2,): 1.0})
+    with pytest.raises(ValueError, match=r"^f or its gradient is not finite at radius 1e\+200$"):
+        finite_dim_gradient_exponent(f, [0.0], [1e-2, 1e300, 1e100, 1e200])
+
+
 def test_distance_exponent_quadratic_line():
     f = polynomial({(2,): 1.0})
     alpha, constant = finite_dim_distance_exponent(f, [(-1.0, 1.0)], 81)

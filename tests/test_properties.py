@@ -1,6 +1,9 @@
 """Property tests: the target geometry on spheres and ellipsoids, the
-exact discrete symmetries of the energy and the tension field, and the
-Newton inverse of the reduction map."""
+exact discrete symmetries of the energy and the tension field, the
+Newton inverse of the reduction map, and the config's named errors."""
+
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from loopflow.bundles import (
     project_section,
     section,
 )
+from loopflow.config import RunConfig, _PolynomialEntry, parse_config
 from loopflow.mesh import build_circle_mesh
 from loopflow.reduction import _random_fiber_field, apply_N, build_reduction_workspace, invert_N
 from loopflow.targets import TargetManifold
@@ -174,3 +178,38 @@ def test_N_of_invert_N_is_identity(small_workspace, seed, amplitude):
     f = section(ws.bundle, amplitude * field.values / l2_norm(field))
     back = apply_N(ws, invert_N(ws, f))
     assert l2_norm(section(ws.bundle, back.values - f.values)) < 1e-9
+
+
+# -- config keys ------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+config_settings = hypothesis.settings(max_examples=25, deadline=None)
+
+
+def parses_or_names(doc, path):
+    """parse_config accepts doc or raises a ValueError that names path."""
+    try:
+        parse_config(json.dumps(doc))
+    except ValueError as exc:
+        assert path in str(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s.name, k.name) for s in fields(RunConfig) for k in fields(s.type)]
+)
+@config_settings
+@given(value=json_values)
+def test_any_section_value_parses_or_fails_naming_its_section(section, key, value):
+    parses_or_names({section: {key: value}}, f"{section}.")
+
+
+@pytest.mark.parametrize("key", [k.name for k in fields(_PolynomialEntry)])
+@config_settings
+@given(value=json_values)
+def test_any_polynomial_entry_value_parses_or_fails_naming_its_entry(key, value):
+    entry = {"label": "x^2", "terms": [[[2], 1.0]], "check": "gradient", "radii": [0.1], key: value}
+    parses_or_names({"finite_verify": {"polynomials": [entry]}}, "finite_verify.polynomials[0]")

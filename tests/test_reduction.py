@@ -518,3 +518,29 @@ def test_chart_energy_workspaces_never_probe(monkeypatch):
         xi = np.full(ws.kernel_dim, 0.01)
         assert np.all(np.isfinite(reduced_gradient(ws, xi)))
         assert sandwich_check(ws, xi)[1] in ("pass", "fail", "indeterminate")
+
+
+def test_sandwich_solves_the_gradient_only_for_determinate_samples(energy_ws, quartic_ws, monkeypatch):
+    # M_F is at round-off on the integrable great circle, which settles
+    # every status, so no Jacobian is assembled; the quartic's M_F clears
+    # the floor, and each of its samples assembles one
+    calls = []
+    assemble = reduction.frame_linearization
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "frame_linearization", counted)
+    sweep = sandwich_sweep(energy_ws, radii=(0.005, 0.02), samples_per_radius=4, seed=3)
+    assert sweep["n_indeterminate"] == 8
+    assert calls == []
+    sweep = sandwich_sweep(quartic_ws, radii=(0.005, 0.02), samples_per_radius=4, seed=3)
+    assert sweep["n_pass"] == 8
+    assert len(calls) == 8
+
+
+def test_kernel_tol_that_keeps_no_eigenvalue_is_rejected():
+    b = equator_bundle(16)
+    with pytest.raises(ValueError, match=r"^kernel_tol 1e-300 keeps no eigenvalue: .* threshold "):
+        build_reduction_workspace(b, energy_functional_on_bundle(b), kernel_tol=1e-300)
