@@ -21,6 +21,7 @@ from typing import Optional, Union, get_args, get_origin
 
 from .flow import FlowConfig
 from .polynomials import from_term_list
+from .reduction import _XI_RADIUS
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "resolved_dict", "VERSION", "RNG_NAME"]
 
@@ -102,8 +103,10 @@ class ReductionSection:
 
 @dataclass(frozen=True)
 class LojasiewiczSection:
-    radii: list[float] = _key([0.005, 0.01, 0.02], lambda v: v and all(r >= 0.0 for r in v),
-                              "a nonempty list of nonnegative numbers")
+    radii: list[float] = _key(
+        [0.005, 0.01, 0.02], lambda v: v and all(0.0 <= r < _XI_RADIUS for r in v),
+        f"a nonempty list of nonnegative numbers below the reduced-chart radius {_XI_RADIUS}",
+    )
     samples_per_radius: int = _key(20, lambda v: v >= 1, "at least 1")
 
 

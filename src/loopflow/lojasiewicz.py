@@ -254,10 +254,23 @@ def _polish_zero(f, x):
     return x - (f.value(x) / gg) * grad
 
 
-def _grid_points(box, per_axis):
+# The most floats a grid block holds once broadcast against the points it
+# is measured to: grids stream through memory in blocks of this size.
+_BLOCK_FLOATS = 2**13
+
+
+def _grid_blocks(box, per_axis, fan_out=1):
+    """The box's grid of per_axis points an axis, in row-major order, as
+    consecutive (rows, d) blocks. A block holds at most
+    _BLOCK_FLOATS / fan_out floats (at least one row), so that its
+    differences to fan_out points hold at most _BLOCK_FLOATS."""
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    shape = (per_axis,) * len(axes)
+    total = per_axis ** len(axes)
+    rows = max(1, _BLOCK_FLOATS // (len(axes) * fan_out))
+    for start in range(0, total, rows):
+        index = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
+        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
 def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8):
@@ -266,22 +279,31 @@ def finite_dim_distance_exponent(f, box, grid_n, zero_tol=1e-8):
     The zero set is approximated on a grid four times finer (cells with
     |f| below zero_tol, each polished by one Gauss-Newton step);
     distances from the coarse grid to that set are binned, the per-bin
-    minimum of |f| gives the envelope whose slope is alpha.
+    minimum of |f| gives the envelope whose slope is alpha. Both grids
+    stream in blocks (_grid_blocks): memory holds one block, the polished
+    zeros and two floats per coarse point, and the time grows as coarse
+    points times zeros.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != f.n_vars:
         raise ValueError("box dimension does not match the polynomial arity")
-    fine = _grid_points(box, 4 * grid_n + 1)
-    fine_vals = np.abs(f.value(fine))
-    if float(np.min(fine_vals)) > 1e-10:
+    lowest, candidates = np.inf, []
+    for fine in _grid_blocks(box, 4 * grid_n + 1):
+        fine_vals = np.abs(f.value(fine))
+        lowest = np.minimum(lowest, np.min(fine_vals))
+        candidates.append(fine[fine_vals < zero_tol])
+    if float(lowest) > 1e-10:
         raise ValueError("no zeros of f detected in the box")
-    candidates = fine[fine_vals < zero_tol]
-    zeros = np.array([_polish_zero(f, c) for c in candidates])
+    zeros = np.array([_polish_zero(f, c) for c in np.concatenate(candidates)]).reshape(-1, len(box))
     zeros = zeros[np.abs(f.value(zeros)) <= zero_tol]
-    coarse = _grid_points(box, grid_n)
-    vals = np.abs(f.value(coarse))
-    diffs = coarse[:, None, :] - zeros[None, :, :]
-    dists = np.min(np.linalg.norm(diffs, axis=-1), axis=1)
+    if zeros.size == 0:
+        raise ValueError(f"no grid point polishes onto a zero of f within zero_tol {zero_tol:g}")
+    vals, dists = [], []
+    for coarse in _grid_blocks(box, grid_n, fan_out=len(zeros)):
+        vals.append(np.abs(f.value(coarse)))
+        diffs = coarse[:, None, :] - zeros[None, :, :]
+        dists.append(np.min(np.linalg.norm(diffs, axis=-1), axis=1))
+    vals, dists = np.concatenate(vals), np.concatenate(dists)
     mask = (dists > _FLOOR) & (vals > _FLOOR)
     dists, vals = dists[mask], vals[mask]
     if dists.size < 4:

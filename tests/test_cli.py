@@ -355,11 +355,13 @@ OVERFLOW_ENTRY = {
             [],
             "finite_verify.polynomials[0]: f or its gradient is not finite at radius 1e+300",
         ),
+        ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1.0]}}, [], "lojasiewicz.radii"),
+        ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1e308]}}, [], "lojasiewicz.radii"),
     ],
     ids=[
         "file_not_string", "directory_not_string", "directory_empty", "polynomials_not_list",
         "label_not_string", "negative_seed_key", "negative_seed_flag", "infinite_semi_axis",
-        "kernel_tol_keeps_none", "overflowing_radii",
+        "kernel_tol_keeps_none", "overflowing_radii", "radius_outside_chart", "radius_overflows",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line_naming_it(

@@ -81,6 +81,10 @@ def test_document_and_section_shape_checks():
         ('{"reduction": {"newton_tol": Infinity}}', r"^reduction\.newton_tol must be positive and finite$"),
         ('{"reduction": {"newton_tol": NaN}}', r"^reduction\.newton_tol must be positive and finite$"),
         ('{"lojasiewicz": {"radii": []}}', "nonempty"),
+        (
+            '{"lojasiewicz": {"radii": [0.01, 0.05]}}',
+            r"^lojasiewicz\.radii must be a nonempty list of nonnegative numbers below the reduced-chart radius 0\.05$",
+        ),
         ('{"lojasiewicz": {"samples_per_radius": 0}}', "at least 1"),
         ('{"output": {"stride": 0}}', "at least 1"),
         ('{"perturbation": {"amplitude": "x"}}', r"^perturbation\.amplitude must be a number$"),

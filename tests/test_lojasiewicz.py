@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from loopflow import lojasiewicz
 from loopflow.bundles import build_pullback_bundle
 from loopflow.lojasiewicz import (
     ExponentFit,
@@ -221,6 +224,80 @@ def test_distance_exponent_raises_when_the_envelope_is_one_point():
     f = polynomial({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -0.25})
     with pytest.raises(ValueError, match="undetermined"):
         finite_dim_distance_exponent(f, [(-1.0, 1.0), (-1.0, 1.0)], 2)
+
+
+def test_distance_exponent_names_an_empty_polished_zero_set():
+    # |f| >= 1e-11 everywhere, so no fine grid point is within zero_tol
+    f = polynomial({(2,): 1.0, (0,): 1e-11})
+    with pytest.raises(ValueError, match=r"^no grid point polishes onto a zero of f within zero_tol 1e-12$"):
+        finite_dim_distance_exponent(f, [(-1.0, 1.0)], 21, zero_tol=1e-12)
+
+
+def full_broadcast_distance_exponent(f, box, grid_n, zero_tol=1e-8):
+    """The distance check as it was before the grids streamed: both grids
+    whole, and one (coarse, zeros, d) difference array."""
+
+    def grid_points(per_axis):
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    fine = grid_points(4 * grid_n + 1)
+    fine_vals = np.abs(f.value(fine))
+    candidates = fine[fine_vals < zero_tol]
+    zeros = np.array([lojasiewicz._polish_zero(f, c) for c in candidates])
+    zeros = zeros[np.abs(f.value(zeros)) <= zero_tol]
+    coarse = grid_points(grid_n)
+    vals = np.abs(f.value(coarse))
+    diffs = coarse[:, None, :] - zeros[None, :, :]
+    dists = np.min(np.linalg.norm(diffs, axis=-1), axis=1)
+    mask = (dists > lojasiewicz._FLOOR) & (vals > lojasiewicz._FLOOR)
+    dists, vals = dists[mask], vals[mask]
+    env_d, env_f = lojasiewicz._lower_envelope(dists, vals)
+    alpha, _, _, _ = _ols(np.log(env_d), np.log(env_f))
+    return alpha, float(np.max(dists**alpha / vals))
+
+
+@pytest.mark.parametrize(
+    "terms, grid_n",
+    [({(2,): 1.0}, 81), ({(2, 2): 1.0}, 21), ({(2, 2): 1.0}, 40), ({(2, 2, 2): 1.0}, 7)],
+    ids=["x2_81", "x2y2_21", "x2y2_40", "x2y2z2_7"],
+)
+# 1 streams one row per block; 54 leaves an uneven last block in every
+# fine scan here and in x^2's coarse scan (81 rows in blocks of 54)
+@pytest.mark.parametrize("block_floats", [lojasiewicz._BLOCK_FLOATS, 1, 54])
+def test_streamed_distance_exponent_equals_the_full_broadcast(terms, grid_n, block_floats, monkeypatch):
+    f = polynomial(terms)
+    box = [(-1.0, 1.0)] * f.n_vars
+    expected = full_broadcast_distance_exponent(f, box, grid_n)
+    monkeypatch.setattr(lojasiewicz, "_BLOCK_FLOATS", block_floats)
+    assert finite_dim_distance_exponent(f, box, grid_n) == expected
+
+
+@pytest.mark.parametrize("n_dims, per_axis, fan_out", [(1, 29, 1), (2, 7, 1), (2, 7, 3), (3, 5, 2)])
+def test_grid_blocks_stream_the_row_major_grid(n_dims, per_axis, fan_out, monkeypatch):
+    monkeypatch.setattr(lojasiewicz, "_BLOCK_FLOATS", 12)
+    box = [(-1.0, 0.5 * (k + 1)) for k in range(n_dims)]
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    whole = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    blocks = list(lojasiewicz._grid_blocks(box, per_axis, fan_out))
+    rows = max(1, 12 // (n_dims * fan_out))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) < rows  # every case here ends on an uneven block
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_distance_check_memory_is_bounded():
+    # the full (coarse, zeros, d) broadcast needed about 200 MiB here
+    f = polynomial({(2, 2): 1.0})
+    tracemalloc.start()
+    try:
+        finite_dim_distance_exponent(f, [(-1.0, 1.0), (-1.0, 1.0)], 81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ols_fits_a_line_and_raises_when_it_is_undetermined():
