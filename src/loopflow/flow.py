@@ -41,9 +41,7 @@ __all__ = [
     "finite_dim_flow",
 ]
 
-_INTEGRATORS = ("projected_euler", "projected_rk4")
-
-# Length of each integrator's real stability interval [-c, 0].
+# The integrators, each with the length of its real stability interval [-c, 0].
 _STABILITY_INTERVAL = {"projected_euler": 2.0, "projected_rk4": 2.785}
 
 # run_flow keeps maps in blocks of this many rows: one buffer sized for
@@ -66,8 +64,8 @@ class FlowConfig:
             raise ValueError("t_max must be positive and finite")
         if not 0.0 <= self.stop_grad_tol < math.inf:
             raise ValueError("stop_grad_tol must be finite and nonnegative")
-        if self.integrator not in _INTEGRATORS:
-            raise ValueError(f"integrator must be one of {_INTEGRATORS}")
+        if self.integrator not in _STABILITY_INTERVAL:
+            raise ValueError(f"integrator must be one of {tuple(_STABILITY_INTERVAL)}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ def _check_stable(mesh, dt, integrator):
     largest eigenvalue of the Laplacian stencil, 4/h^2 at order 2 and
     16/(3 h^2) at order 4, and never more than 0.5 h^2.
     """
-    if integrator not in _INTEGRATORS:
-        raise ValueError(f"integrator must be one of {_INTEGRATORS}")
+    if integrator not in _STABILITY_INTERVAL:
+        raise ValueError(f"integrator must be one of {tuple(_STABILITY_INTERVAL)}")
     h = mesh.spacing
     lambda_max = (4.0 if mesh.diff_order == 2 else 16.0 / 3.0) / (h * h)
     bound = min(0.5 * h * h, _STABILITY_INTERVAL[integrator] / lambda_max)

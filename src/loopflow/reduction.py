@@ -7,9 +7,11 @@ it sees only the section space. It and every Jacobian P_K + L(u) come
 from the functional's linearization routine: closed form for the chart
 energy and its quartic penalty, so a chart-energy reduction differences
 no field; only a generic integrand's Jacobian is probed. Kernel vectors
-are kept when their eigenvalue is below a relative threshold; a
-threshold that keeps them all, or no tenfold spectral gap to the
-discarded ones, fails loudly.
+are kept when their eigenvalue is below a relative threshold. One
+spectral split checks the linearization and builds the frozen workspace
+from its eigendecomposition: an asymmetric linearization, a threshold
+that keeps every eigenvalue or none, or no tenfold spectral gap to the
+discarded ones fails loudly.
 
 The kernel is held as one (m, l) matrix K of frame coordinates, and all
 Newton work happens in frame coordinates. The quadrature weight is
@@ -97,74 +99,55 @@ class ReductionWorkspace:
         return tuple(section(self.bundle, _from_coords(self.bundle, k)) for k in self.kernel.T)
 
 
-def _spectral_split(L_frame, asymmetry, spacing, kernel_tol):
+def _spectral_split(L_frame, asymmetry, bundle, functional, kernel_tol, newton_tol, newton_max_iter):
     """Eigendecompose the symmetrized linearization, whose raw asymmetry
-    is checked, and split it into kernel and complement.
-
-    Returns kept coordinate vectors (L2-orthonormalized), kept
+    is checked, split it into kernel and complement, and build the
+    workspace: the kept coordinate vectors (L2-orthonormalized), their
     eigenvalues, the chord inverse (P_K + L)^{-1}, and the gap bookkeeping.
+    A threshold that keeps every eigenvalue or none, or no gap, raises.
     """
     eigvals, eigvecs = np.linalg.eigh(L_frame)
     mags = np.abs(eigvals)
-    radius = float(np.max(mags)) if mags.size else 0.0
-    if not asymmetry <= _SYMMETRY_TOL * radius:
+    spectral_radius = float(np.max(mags)) if mags.size else 0.0
+    if not asymmetry <= _SYMMETRY_TOL * spectral_radius:
         raise ValueError(
             f"linearization asymmetry {asymmetry:.3e} exceeds {_SYMMETRY_TOL:.0e} "
-            f"of its spectral radius {radius:.3e}"
+            f"of its spectral radius {spectral_radius:.3e}"
         )
-    threshold = kernel_tol * radius
+    threshold = kernel_tol * spectral_radius
     keep = mags < threshold
     if keep.all():
         raise ValueError(f"kernel_tol {kernel_tol:g} is above 1 and keeps every eigenvalue")
-    kept_vals = eigvals[keep]
-    kept_max = float(np.max(mags[keep], initial=0.0))
     discarded_min = float(np.min(mags[~keep]))
-    gap_ratio = discarded_min / kept_max if kept_max > 0.0 else np.inf
+    if not keep.any():
+        raise ValueError(f"kernel_tol {kernel_tol:g} keeps no eigenvalue: the smallest |eigenvalue| "
+                         f"{discarded_min:.3e} is above the threshold {threshold:.3e}")
+    kept_max = float(np.max(mags[keep]))
     if discarded_min < _GAP_FACTOR * kept_max:
         raise ValueError(
             f"no spectral gap: smallest discarded eigenvalue {discarded_min:.3e} "
             f"is under {_GAP_FACTOR:.0f}x the largest kept one {kept_max:.3e}"
         )
+    gap_ratio = discarded_min / kept_max if kept_max > 0.0 else np.inf
     # eigh vectors are Euclidean-orthonormal, so h K K^T = V_kept V_kept^T
     # adds 1 to each kept eigenvalue, and the quadrature inner product is
     # h times Euclidean: a uniform rescale makes them L2-orthonormal.
     chord_inverse = (eigvecs / (eigvals + keep)) @ eigvecs.T
-    kept_vecs = eigvecs[:, keep] / np.sqrt(spacing)
-    order = np.argsort(kept_vals)
-    return (
-        kept_vecs[:, order],
-        kept_vals[order],
-        chord_inverse,
-        radius,
-        threshold,
-        discarded_min,
-        gap_ratio,
+    order = np.argsort(eigvals[keep])
+    kernel = (eigvecs[:, keep] / np.sqrt(bundle.mesh.spacing))[:, order]
+    kernel_eigenvalues = eigvals[keep][order]
+    for arr in (chord_inverse, kernel, kernel_eigenvalues):
+        arr.setflags(write=False)
+    # positional, in the field order of ReductionWorkspace
+    return ReductionWorkspace(
+        bundle, functional, chord_inverse, kernel, kernel_eigenvalues, float(newton_tol),
+        int(newton_max_iter), spectral_radius, threshold, discarded_min, gap_ratio,
     )
 
 
 def build_reduction_workspace(bundle, functional, kernel_tol=1e-6, newton_tol=1e-10, newton_max_iter=50):
     L_frame, asymmetry = frame_linearization(bundle, functional)
-    kernel, vals, chord_inverse, radius, threshold, discarded_min, gap_ratio = _spectral_split(
-        L_frame, asymmetry, bundle.mesh.spacing, kernel_tol
-    )
-    if not vals.size:
-        raise ValueError(f"kernel_tol {kernel_tol:g} keeps no eigenvalue: the smallest |eigenvalue| "
-                         f"{discarded_min:.3e} is above the threshold {threshold:.3e}")
-    for arr in (chord_inverse, kernel, vals):
-        arr.setflags(write=False)
-    return ReductionWorkspace(
-        bundle=bundle,
-        functional=functional,
-        chord_inverse=chord_inverse,
-        kernel=kernel,
-        kernel_eigenvalues=vals,
-        newton_tol=float(newton_tol),
-        newton_max_iter=int(newton_max_iter),
-        spectral_radius=radius,
-        threshold=threshold,
-        discarded_min=discarded_min,
-        gap_ratio=gap_ratio,
-    )
+    return _spectral_split(L_frame, asymmetry, bundle, functional, kernel_tol, newton_tol, newton_max_iter)
 
 
 def kernel_coordinates(workspace, sec):
@@ -461,11 +444,15 @@ def approximation_sweep(workspace, seed=0):
 def sandwich_sweep(workspace, radii=(0.005, 0.01, 0.02), samples_per_radius=20, seed=0):
     """Band membership of the sandwich ratio over seeded kernel samples;
     each record also holds abs_f = |F(Psi(xi.phi))| from the same Newton
-    solve. A sample that raises RuntimeError is a newton_failure, abs_f None."""
+    solve. A sample that raises RuntimeError is a newton_failure, abs_f None.
+    Each radius, not each |xi|, is checked against the chart radius: the
+    unit direction's rounding can lift |xi| onto it."""
     rng = np.random.default_rng(seed)
     bundle, functional, l = workspace.bundle, workspace.functional, workspace.kernel_dim
     records = []
     for r in radii:
+        if not 0.0 <= r < _XI_RADIUS:
+            raise ValueError(f"radius {r} outside the reduced-chart radius {_XI_RADIUS}")
         for _ in range(samples_per_radius):
             direction = rng.standard_normal(l)
             direction /= np.linalg.norm(direction)
@@ -473,7 +460,7 @@ def sandwich_sweep(workspace, radii=(0.005, 0.01, 0.02), samples_per_radius=20, 
             rec = {"radius": float(r), "ratio": None, "status": "newton_failure", "abs_f": None}
             records.append(rec)
             try:
-                u = reduced_section(workspace, xi)
+                u = invert_N(workspace, kernel_combination(workspace, xi))
                 ratio, status = _sandwich_at(workspace, u)
                 abs_f = abs(functional_value(bundle, functional, u))
             except RuntimeError:

@@ -249,6 +249,19 @@ def test_reduce_run_artifacts(tmp_path):
     assert report["lipschitz"]["ratio_spread"] < 10.0
 
 
+def test_reduce_run_accepts_a_radius_one_ulp_below_the_chart_radius(tmp_path):
+    # a unit direction's rounding lifts some |r * direction| onto 0.05 itself,
+    # which reduced_section alone would reject
+    radius = np.nextafter(0.05, 0.0)
+    payload = {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [radius], "samples_per_radius": 40}}
+    config_path = write_config(tmp_path, payload)
+    out = str(tmp_path / "out")
+    assert main(["reduce-run", "--config", config_path, "--out", out]) == 0
+    report = read_json(out, "reduction_report.json")
+    assert report["kernel_dimension"] == 3
+    assert report["sandwich"]["radii"] == [radius]
+
+
 ELLIPSOID = {
     "domain": {"n_nodes": 16},
     "target": {"kind": "ellipsoid", "semi_axes": [1.0, 1.0, 1.3]},

@@ -99,23 +99,35 @@ def test_workspace_frame_matrix_symmetric(energy_L0):
     assert float(np.max(np.abs(F - F.T))) < 1e-12  # symmetrized on return
 
 
+def _split(ws, L, asymmetry=0.0):
+    return _spectral_split(L, asymmetry, ws.bundle, ws.functional, 1e-6, 1e-10, 50)
+
+
 def test_compute_kernel_basis_is_orthonormal(energy_ws, energy_L0):
     h = energy_ws.bundle.mesh.spacing
-    vecs, vals, *_ = _spectral_split(energy_L0, 0.0, h, 1e-6)
+    split = _split(energy_ws, energy_L0)
+    vecs = split.kernel
+    np.testing.assert_array_equal(vecs, energy_ws.kernel)
     assert vecs.shape == (64 * 2, 3)
-    assert vals.shape == (3,)
+    assert split.kernel_eigenvalues.shape == (3,)
     # frame coordinates are orthonormal per node, so the L2 pairing is h x Euclidean
     np.testing.assert_allclose(h * vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_compute_kernel_empty_for_shifted_operator(energy_ws, energy_L0):
     # adding the identity on frame coordinates pushes every eigenvalue up by
-    # one, so nothing survives the relative threshold
+    # one, so nothing survives the relative threshold and the split says so
     L = energy_L0
-    h = energy_ws.bundle.mesh.spacing
-    vecs, vals, *_ = _spectral_split(L + np.eye(L.shape[0]), 0.0, h, 1e-6)
-    assert vecs.shape == (L.shape[0], 0)
-    assert vals.size == 0
+    with pytest.raises(ValueError, match=r"^kernel_tol 1e-06 keeps no eigenvalue: .* threshold "):
+        _split(energy_ws, L + np.eye(L.shape[0]))
+
+
+def test_workspace_arrays_are_read_only(energy_ws):
+    for name in ("chord_inverse", "kernel", "kernel_eigenvalues"):
+        arr = getattr(energy_ws, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_compute_kernel_rejects_asymmetry(energy_ws, energy_L0):
@@ -123,7 +135,7 @@ def test_compute_kernel_rejects_asymmetry(energy_ws, energy_L0):
     L[2, 5] += 1.0
     asymmetry = float(np.max(np.abs(L - L.T)))
     with pytest.raises(ValueError, match="asymmetry"):
-        _spectral_split(L, asymmetry, energy_ws.bundle.mesh.spacing, 1e-6)
+        _split(energy_ws, L, asymmetry)
 
 
 def test_asymmetric_linearization_is_rejected():
@@ -156,7 +168,7 @@ def test_compute_kernel_rejects_missing_gap(energy_ws, energy_L0):
     d[1] = 5e-7
     d[2] = 4e-6  # within 10x of 5e-7 but above threshold 1e-6
     with pytest.raises(ValueError, match="spectral gap"):
-        _spectral_split((Q * d) @ Q.T, 0.0, energy_ws.bundle.mesh.spacing, 1e-6)
+        _split(energy_ws, (Q * d) @ Q.T)
 
 
 def test_kernel_tol_that_keeps_every_eigenvalue_is_rejected():
@@ -387,6 +399,12 @@ def test_sandwich_sweep_report_shape(quartic_ws):
     assert len(rep["records"]) == 6
     assert rep["n_pass"] + rep["n_fail"] + rep["n_indeterminate"] + rep["n_newton_failure"] == 6
     assert rep["determinate_pass_rate"] == 1.0
+
+
+@pytest.mark.parametrize("radius", [0.05, -0.01, float("nan")])
+def test_sandwich_sweep_rejects_a_radius_outside_the_chart(energy_ws, radius):
+    with pytest.raises(ValueError, match="outside the reduced-chart radius 0.05"):
+        sandwich_sweep(energy_ws, radii=(0.01, radius), samples_per_radius=1)
 
 
 @pytest.mark.parametrize("name", ["energy_ws", "quartic_ws"])
