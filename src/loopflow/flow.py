@@ -12,7 +12,11 @@ and the stopping rule see. A run binds its stage once: the target's
 projection with its tube check, the bound tension of
 variational._bind_tension, and the step's multiples of dt; no MapState
 is built per stage, and each stage's floats are those of
-project_nearest and tension_field.
+project_nearest and tension_field. One stepper, _stepper, holds the
+Euler and RK4 stage arithmetic for both flows: the loop flow passes it
+the tension and the target's projection, finite_dim_flow -grad f and
+the identity, and each reuses the gradient it records as the first
+stage.
 
 Traces store scalars per step. For dist_to_limit the flow also keeps a
 copy of the map at every distance_stride-th step, in preallocated blocks
@@ -77,36 +81,41 @@ class FlowTrace:
     config_echo: dict = field(default_factory=dict)
 
 
-def _bind_step(mesh, target, dt, integrator):
-    """(step, tension): tension is _bind_tension's function, and
-    step(values, k1) advances values by dt, k1 being the tension field at
-    values; every stage is projected back to the target."""
-    project = target._nearest
-    tension = _bind_tension(mesh, target)
+def _stepper(rhs, project, dt, integrator):
+    """step(x, k1) advancing x by dt on dx/dt = rhs(x), k1 being rhs(x),
+    with every stage passed through project: the package's one Euler and
+    one RK4 stage arithmetic, shared by the loop flow and finite_dim_flow."""
     if integrator == "projected_euler":
-
-        def step(values, k1):
-            return project(values + dt * k1)[0]
-
-        return step, tension
+        return lambda x, k1: project(x + dt * k1)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def step(values, k1):
-        k2 = tension(project(values + half * k1)[0])[0]
-        k3 = tension(project(values + half * k2)[0])[0]
-        k4 = tension(project(values + dt * k3)[0])[0]
-        return project(values + sixth * (k1 + 2 * k2 + 2 * k3 + k4))[0]
+    def step(x, k1):
+        k2 = rhs(project(x + half * k1))
+        k3 = rhs(project(x + half * k2))
+        k4 = rhs(project(x + dt * k3))
+        return project(x + sixth * (k1 + 2 * k2 + 2 * k3 + k4))
 
+    return step
+
+
+def _bind_step(mesh, target, dt, integrator):
+    """(step, tension): tension is _bind_tension's function, and step is
+    _stepper's on the tension field with the target's projection."""
+    nearest = target._nearest
+    tension = _bind_tension(mesh, target)
+    step = _stepper(lambda u: tension(u)[0], lambda u: nearest(u)[0], dt, integrator)
     return step, tension
 
 
 def _check_stable(mesh, dt, integrator):
-    """Reject dt above the explicit stability bound of the integrator.
+    """Reject dt that is not positive and finite or above the stability bound.
 
     The bound is the integrator's real stability interval over the
     largest eigenvalue of the Laplacian stencil, 4/h^2 at order 2 and
     16/(3 h^2) at order 4, and never more than 0.5 h^2.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if integrator not in _STABILITY_INTERVAL:
         raise ValueError(f"integrator must be one of {tuple(_STABILITY_INTERVAL)}")
     h = mesh.spacing
@@ -181,13 +190,7 @@ def run_flow(initial, config, distance_stride=1):
         "n_steps": len(times) - 1,
         "stopped_on_tolerance": bool(grads[-1] < config.stop_grad_tol),
     }
-    return FlowTrace(
-        times=np.array(times),
-        energies=np.array(energies),
-        grad_norms=np.array(grads),
-        dist_to_limit=dist,
-        config_echo=echo,
-    )
+    return FlowTrace(np.array(times), np.array(energies), np.array(grads), dist, echo)
 
 
 def _gaps_to_limit(trace):
@@ -234,7 +237,9 @@ def fit_convergence_rate(trace):
 def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     """RK4 on dx/dt = -grad f for a polynomial f; trace of f and |grad f|.
 
-    dt must divide t_max (to 1e-9 relative), so the trace ends at t_max.
+    The step is _stepper's RK4 with the identity as projection, and each
+    recorded gradient is its first stage. dt must divide t_max (to 1e-9
+    relative), so the trace ends at t_max.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not 0.0 < dt < math.inf:
@@ -249,32 +254,20 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     energies = np.empty(n_steps + 1)
     grads = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, x.size))
-
-    def rhs(y):
-        return -f.gradient(y)
-
+    step = _stepper(lambda y: -f.gradient(y), lambda y: y, dt, "projected_rk4")
     t = 0.0
     for k in range(n_steps + 1):
+        gradient = f.gradient(x)
         times[k] = t
         energies[k] = f.value(x)
-        grads[k] = float(np.linalg.norm(f.gradient(x)))
+        grads[k] = float(np.linalg.norm(gradient))
         states[k] = x
         if k == n_steps:
             break
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = step(x, -gradient)
         if float(np.linalg.norm(x)) > 1e6:
             raise RuntimeError(f"finite-dimensional flow diverged at t = {t:.3f}")
         t += dt
     dist = np.linalg.norm(states - states[-1], axis=1)
     echo = {"dt": dt, "t_max": t_max, "kind": "finite_dim", "f": str(f)}
-    return FlowTrace(
-        times=times,
-        energies=energies,
-        grad_norms=grads,
-        dist_to_limit=dist,
-        config_echo=echo,
-    )
+    return FlowTrace(times, energies, grads, dist, echo)

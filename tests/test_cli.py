@@ -160,6 +160,21 @@ def test_flow_run_trace_and_fit(tmp_path):
     assert fit["flow"]["n_steps"] >= 100
 
 
+def test_flow_run_exits_zero_when_its_rate_fit_refuses(tmp_path):
+    # the unperturbed great circle is critical, so the flow stops at step 0:
+    # trace.csv is complete and rate_fit.json carries the fit's refusal
+    payload = {"domain": {"n_nodes": 8}, "perturbation": {"amplitude": 0.0}, "flow": {"t_max": 1.0}}
+    config_path = write_config(tmp_path, payload)
+    out = str(tmp_path / "out")
+    assert main(["flow-run", "--config", config_path, "--out", out]) == 0
+    with open(os.path.join(out, "trace.csv"), "r", encoding="utf-8") as fh:
+        lines = fh.read().strip().split("\n")
+    assert len(lines) == 2
+    fit = read_json(out, "rate_fit.json")
+    assert fit["error"] == "only 0 usable records after exclusions, need 20"
+    assert fit["flow"]["n_steps"] == 0
+
+
 def test_flow_run_echoes_the_resolved_seed(tmp_path):
     config_path = write_config(tmp_path, SMALL_FLOW)
     out_a = str(tmp_path / "a")

@@ -66,6 +66,17 @@ def test_step_respects_stability_bound():
         flow_step(state, 0.1 * h * h, integrator="leapfrog")
 
 
+def test_step_rejects_a_dt_that_is_not_positive_and_finite():
+    # a negative dt used to run a backward step that raised the energy,
+    # zero to return a re-projected copy, and NaN to fail on the tube check
+    state = make_initial_map(parse_config('{"domain": {"n_nodes": 16}}'), 7)
+    h = state.mesh.spacing
+    for dt in (-0.2 * h * h, 0.0, float("nan")):
+        for integrator in ("projected_euler", "projected_rk4"):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                flow_step(state, dt, integrator)
+
+
 def test_order_four_euler_stability_bound():
     # the order-4 Laplacian reaches 16/(3 h^2), so forward Euler needs
     # dt <= 0.375 h^2; RK4's longer interval keeps the 0.5 h^2 cap
@@ -375,6 +386,51 @@ def test_finite_dim_flow_is_fourth_order():
         errors.append(abs(np.sqrt(trace.energies[-1]) - np.exp(-2.0)))
     assert errors[0] / errors[1] >= 12.0
     assert errors[1] / errors[2] >= 12.0
+
+
+def rk4_oracle_trace(f, x0, dt, n_steps):
+    """The finite-dimensional RK4 loop as it stood before the flows shared
+    one stepper: (times, values, gradient norms, distances to the last)."""
+    x = np.asarray(x0, dtype=float).copy()
+    times, values, grads, states = [], [], [], []
+
+    def rhs(y):
+        return -f.gradient(y)
+
+    t = 0.0
+    for k in range(n_steps + 1):
+        times.append(t)
+        values.append(f.value(x))
+        grads.append(float(np.linalg.norm(f.gradient(x))))
+        states.append(x)
+        if k == n_steps:
+            break
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    states = np.array(states)
+    return times, values, grads, np.linalg.norm(states - states[-1], axis=1)
+
+
+@pytest.mark.parametrize(
+    "terms, x0, dt, n_steps",
+    [
+        ({(4,): 1.0}, [1.0], 0.01, 200),
+        ({(2, 0): 1.0, (1, 1): 0.6, (0, 2): 2.0}, [1.0, -0.7], 0.01, 150),
+    ],
+    ids=["quartic", "quadratic-cross-term"],
+)
+def test_finite_dim_flow_matches_its_former_rk4_bit_for_bit(terms, x0, dt, n_steps):
+    f = polynomial(terms)
+    trace = finite_dim_flow(f, x0, dt=dt, t_max=n_steps * dt)
+    times, values, grads, dists = rk4_oracle_trace(f, x0, dt, n_steps)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.energies, values)
+    assert np.array_equal(trace.grad_norms, grads)
+    assert np.array_equal(trace.dist_to_limit, dists)
 
 
 def test_finite_dim_flow_guards():
