@@ -22,8 +22,9 @@ Traces store scalars per step. For dist_to_limit the flow also keeps a
 copy of the map at every distance_stride-th step, in preallocated blocks
 of rows, and measures each kept map against the terminal state once the
 flow stops: the trajectory is integrated once, and the kept maps cost
-(recorded rows) x n x p x 8 bytes. The rate fit's lines come from
-lojasiewicz._ols, the package's one least-squares helper.
+(recorded rows) x n x p x 8 bytes, up to a limit at which the run fails
+by name. The rate fit's lines come from lojasiewicz._ols, the package's one
+least-squares helper, which fits in closed form and loads no LAPACK.
 """
 
 import math
@@ -50,8 +51,12 @@ _STABILITY_INTERVAL = {"projected_euler": 2.0, "projected_rk4": 2.785}
 
 # run_flow keeps maps in blocks of this many rows: one buffer sized for
 # every step up to t_max would be reserved at once, and a long horizon
-# that the tolerance cuts short would fail to allocate.
+# that the tolerance cuts short would fail to allocate. It raises before
+# a new block would take the kept maps above _KEPT_LIMIT_BYTES, so a run
+# that needs more (n = 512 at stride 1 to the tolerance) fails by name,
+# not by the OS; the default n = 256 run keeps about 1.5 GiB.
 _KEPT_BLOCK_ROWS = 1024
+_KEPT_LIMIT_BYTES = 4 * 2**30
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ def run_flow(initial, config, distance_stride=1):
     every distance_stride-th step (and the terminal map) is kept, and
     dist_to_limit holds its L2 distance to the terminal state; the other
     rows, and every row when distance_stride is None, are NaN. Memory for
-    the kept maps is (recorded rows) x n x p x 8 bytes. The tension field
+    the kept maps is (recorded rows) x n x p x 8 bytes, and a run raises
+    before it would pass _KEPT_LIMIT_BYTES. The tension field
     computed for the recorded gradient norm is reused as the first stage
     of the next step.
     """
@@ -167,6 +173,12 @@ def run_flow(initial, config, distance_stride=1):
         if distance_stride is not None and k % distance_stride == 0:
             block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
             if slot == 0:
+                kept_bytes = (block + 1) * _KEPT_BLOCK_ROWS * values.nbytes
+                if kept_bytes > _KEPT_LIMIT_BYTES:
+                    raise ValueError(
+                        f"the maps kept by step {k} would take {kept_bytes} bytes, above the "
+                        f"limit of {_KEPT_LIMIT_BYTES} bytes: raise output.stride (distance_stride)"
+                    )
                 kept.append(np.empty((_KEPT_BLOCK_ROWS,) + values.shape))
             kept[block][slot] = values
         if grads[-1] < config.stop_grad_tol or k == n_max:

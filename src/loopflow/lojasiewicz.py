@@ -5,7 +5,8 @@ polynomials.
 Every exponent, rate and approximation order of the package is the
 slope of a line fit, and _ols is the package's one least-squares
 helper: the flow's rate fit and the reduction's approximation sweep
-call it too. Section-level clouds pair |F(u) - F(critical)| with a
+call it too. It fits in closed form on centred data and loads no
+LAPACK. Section-level clouds pair |F(u) - F(critical)| with a
 gradient norm and are fitted by ordinary least squares in log-log
 space. Finite dimensional polynomial fits instead use the lower
 envelope of the scatter: the inequality |f|^theta <= C |grad f| binds
@@ -38,25 +39,37 @@ _FLOOR = 1e-13
 def _ols(x, y, groups=None):
     """Least-squares line y = slope x + intercept: (slope, intercept, r^2, sse).
 
-    With groups, every group shares the slope and has its own intercept
-    (one indicator column per group), and intercept is the first
-    group's. A line the points do not determine (one point, constant x,
-    or no group spanning two distinct x) raises.
+    With groups, every group shares the slope and has its own intercept,
+    and intercept is the first group's. The fit is closed form on
+    group-centred data (slope = sum x_c y_c / sum x_c^2, intercept_g =
+    mean_g y - slope mean_g x), so it calls no LAPACK. Non-finite samples
+    raise, and so does a line the points do not determine (one point,
+    constant x, or no group spanning two distinct x): the norm of the
+    centred x must exceed eps max(samples, groups + 1) times the norm
+    of x, a relative cut on the x column in the spirit of a least-squares
+    solver's default rcond (it is not the same cut: that one compares
+    the singular values of [x, one column per group]).
     """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("line fit needs finite samples")
     if groups is None:
-        indicators = np.ones((len(x), 1))
+        index = np.zeros(len(x), dtype=np.intp)
     else:
         index = np.unique(groups, return_inverse=True)[1]
-        indicators = index[:, None] == np.arange(index.max() + 1)
-    A = np.column_stack([x, indicators])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < A.shape[1]:
+    counts = np.bincount(index)
+    x_mean, y_mean = np.bincount(index, x) / counts, np.bincount(index, y) / counts
+    xc, yc = x - x_mean[index], y - y_mean[index]
+    sxx = float(xc @ xc)
+    rcond = np.finfo(float).eps * max(len(x), len(counts) + 1)
+    if sxx <= rcond * rcond * float(x @ x):
         raise ValueError("line fit is undetermined: no group of samples has two distinct x")
-    fit = A @ coef
+    slope = float(xc @ yc) / sxx
+    intercepts = y_mean - slope * x_mean
+    fit = slope * x + intercepts[index]
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(coef[0]), float(coef[1]), r2, ss_res
+    return slope, float(intercepts[0]), r2, ss_res
 
 
 @dataclass(frozen=True)

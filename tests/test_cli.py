@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import loopflow
-from loopflow import cli
+from loopflow import cli, flow
 from loopflow.cli import main, make_initial_map
 from loopflow.config import parse_config
 from loopflow.variational import energy
@@ -198,6 +198,44 @@ def test_flow_run_reruns_bit_identical(tmp_path):
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:
             assert fh.read() == first[name], name
+
+
+def test_flow_run_fails_by_name_when_its_kept_maps_pass_the_limit(tmp_path, capsys, monkeypatch):
+    # a limit below one block of n = 16 maps stands in for the 4 GiB that
+    # an n = 512 run at stride 1 reaches after about 350,000 steps
+    monkeypatch.setattr(flow, "_KEPT_LIMIT_BYTES", 1000)
+    config_path = write_config(tmp_path, {"domain": {"n_nodes": 16}})
+    out = str(tmp_path / "out")
+    assert main(["flow-run", "--config", config_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error_type"] == "ValueError"
+    assert "output.stride" in record["error"] and "limit of 1000 bytes" in record["error"]
+    assert not os.path.exists(os.path.join(out, "trace.csv"))
+
+
+def test_flow_run_admits_a_long_horizon_that_the_tolerance_cuts_short(tmp_path):
+    # t_max = 1e6 allows ~3e7 steps (12 GB of maps at stride 1); the
+    # tolerance ends the run after about a thousand
+    config_path = write_config(tmp_path, {"domain": {"n_nodes": 16}, "flow": {"t_max": 1e6}})
+    out = str(tmp_path / "out")
+    assert main(["flow-run", "--config", config_path, "--out", out]) == 0
+    assert read_json(out, "rate_fit.json")["flow"]["stopped_on_tolerance"]
+
+
+def test_no_production_path_calls_lstsq(tmp_path, monkeypatch):
+    def lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq reached")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    t = np.linspace(0.0, 10.0, 200)
+    trace = flow.FlowTrace(t, 1.0 + np.exp(-2.0 * t), 2.0 * np.exp(-t), np.full(t.size, np.nan))
+    assert abs(flow.fit_convergence_rate(trace)["exponential"]["rate"] - 2.0) < 0.05
+    out = str(tmp_path / "verify")
+    assert main(["finite-verify", "--config", write_config(tmp_path, {}), "--out", out]) == 0
+    config_path = write_config(tmp_path, {"domain": {"n_nodes": 16}}, name="reduce.json")
+    assert main(["reduce-run", "--config", config_path, "--out", str(tmp_path / "reduce")]) == 0
 
 
 def test_loj_estimate_artifacts(tmp_path):

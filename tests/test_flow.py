@@ -314,6 +314,19 @@ def test_kept_maps_follow_the_steps_taken_not_t_max():
     assert np.array_equal(trace.dist_to_limit, dists)
 
 
+def test_kept_maps_raise_by_name_before_a_block_passes_the_limit(monkeypatch):
+    # a limit of one block: the run keeps its first 1024 maps and raises
+    # at the step that would start the second block
+    initial = perturbed_equator(16)
+    config = FlowConfig(dt_factor=0.2, t_max=1e12, stop_grad_tol=1e-8)
+    monkeypatch.setattr(flow_module, "_KEPT_LIMIT_BYTES", flow_module._KEPT_BLOCK_ROWS * initial.values.nbytes)
+    with pytest.raises(ValueError, match=r"maps kept by step 1024 would take 786432 bytes.*output\.stride"):
+        run_flow(initial, config)
+    # the same run at stride 2 needs one block, and without kept maps none
+    assert run_flow(initial, config, distance_stride=2).config_echo["stopped_on_tolerance"]
+    assert run_flow(initial, config, distance_stride=None).config_echo["stopped_on_tolerance"]
+
+
 def synthetic_trace(times, energies):
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)

@@ -301,14 +301,60 @@ def test_distance_check_memory_is_bounded():
 
 
 def test_ols_fits_a_line_and_raises_when_it_is_undetermined():
-    x = np.array([0.5, 1.0, 3.0])
-    slope, intercept, r2, sse = _ols(x, 3.0 * x - 2.0)
-    assert abs(slope - 3.0) < 1e-12 and abs(intercept + 2.0) < 1e-12
-    assert r2 == pytest.approx(1.0) and sse < 1e-24
-    with pytest.raises(ValueError, match="undetermined"):
-        _ols(np.array([1.0]), np.array([2.0]))
-    with pytest.raises(ValueError, match="undetermined"):
-        _ols(np.full(4, 2.0), np.arange(4.0))
+    x = np.arange(6.0)
+    assert _ols(x, 3.0 * x - 2.0) == (3.0, -2.0, 1.0, 0.0)
+    # x spread 1e-12 lies above rounding, so the line is determined
+    x = np.array([1.0, 1.0 + 1e-12, 1.0])
+    slope, intercept, _, _ = _ols(x, 3.0 * x - 2.0)
+    assert slope == pytest.approx(3.0, rel=1e-3) and intercept == pytest.approx(-2.0, rel=1e-3)
+    # one point, constant x, and x constant to rounding
+    for x, y in [([1.0], [2.0]), ([2.0] * 4, [0.0, 1.0, 2.0, 3.0]), ([1.0, 1.0 + 2.3e-16, 1.0], [0.0, 1.0, 2.0])]:
+        with pytest.raises(ValueError, match="undetermined"):
+            _ols(np.array(x), np.array(y))
+
+
+def lstsq_line(x, y, groups=None):
+    """The line fit as a least-squares solve on the design matrix
+    [x, one indicator column per group]: (slope, intercept, r^2, sse)."""
+    if groups is None:
+        indicators = np.ones((len(x), 1))
+    else:
+        index = np.unique(groups, return_inverse=True)[1]
+        indicators = index[:, None] == np.arange(index.max() + 1)
+    A = np.column_stack([x, indicators])
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    assert rank == A.shape[1]
+    fit = A @ coef
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(coef[0]), float(coef[1]), max(0.0, 1.0 - ss_res / ss_tot), ss_res
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("grouped", [False, True])
+def test_ols_matches_the_lstsq_oracle(seed, grouped):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 40))
+    x = rng.uniform(-3.0, 5.0, m) + rng.uniform(-100.0, 100.0)
+    y = 1.7 * x + 0.3 * rng.standard_normal(m)
+    groups = None
+    if grouped:
+        # unsorted labels; -1 and 90 are single-point groups, which fix only
+        # their own intercept, and -1's is the one returned
+        offsets = {7: 0.0, 3: -4.0, 11: 9.0, -1: 2.0, 90: -1.0}
+        groups = rng.choice([7, 3, 11], m)
+        groups[:2] = [90, -1]
+        y += np.array([offsets[g] for g in groups])
+    assert _ols(x, y, groups) == pytest.approx(lstsq_line(x, y, groups), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_ols_raises_on_non_finite_samples(bad, where):
+    x, y = np.arange(5.0), np.arange(5.0) ** 2
+    (x if where == "x" else y)[2] = bad
+    with pytest.raises(ValueError, match="finite samples"):
+        _ols(x, y)
 
 
 # -- reduced-function integrability probe -----------------------------------
