@@ -53,7 +53,6 @@ from .variational import (
     functional_value,
     general_euler_lagrange,
     map_state,
-    tangential_tension,
     tension_field,
 )
 
@@ -169,7 +168,7 @@ def _run_energy_eval(config, outdir, seed):
     state = make_initial_map(config, seed)
     e = energy(state)
     m_raw = tension_field(state)
-    m_tan = tangential_tension(state)
+    m_tan = state.target.tangent_part(state.values, m_raw)
     report = {
         "energy": e,
         "tension_l2": _state_l2(state, m_raw),

@@ -195,15 +195,10 @@ def _lower_envelope(v, g):
     n_bins = max(1, int(np.ceil((hi - lo) * 6)))
     edges = np.linspace(lo, hi, n_bins + 1)
     idx = np.clip(np.digitize(lv, edges) - 1, 0, n_bins - 1)
-    keep_v, keep_g = [], []
-    for b in range(n_bins):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        j = int(np.argmin(np.where(mask, g, np.inf)))
-        keep_v.append(v[j])
-        keep_g.append(g[j])
-    return np.array(keep_v), np.array(keep_g)
+    # sorted by bin, then by g; the stable sort keeps the first of tied minima
+    order = np.lexsort((g, idx))
+    first = order[np.diff(idx[order], prepend=-1) != 0]
+    return v[first], g[first]
 
 
 def finite_dim_gradient_exponent(f, critical_point, radii, seed=0):

@@ -4,27 +4,28 @@ This module is the only place that knows the target's geometry, and every
 quantity has one closed form, vectorized over stacked rows; the sphere is
 the ellipsoid with unit semi-axes. The nearest point of x is
 Pi(x) = a^2 x / (a^2 + t), with the Lagrange multiplier t solved for all
-rows at once by a safeguarded Newton iteration. Implicit differentiation
-of that formula gives the differential dPi_x, a symmetric matrix, and
-once more the derivative of x -> dPi_x(g) for fixed g, which the chart
-energy's linearization uses. The level set G(y) = sum y^2 / a^2 - 1
-gives the unit normal and the second fundamental form, which appears
-only as the tension field's curvature term, _tangent_curvature: it
-takes the tangent part of Du and contracts the shape operator with it
-from one unit normal per point. The tube check hands on the
-projection's denominator d = a^2 + t, which is |x| on a sphere (there
-a^2 = 1 and t = |x| - 1), and projection and its derivatives use d as
-given. The sphere keeps two shortcuts, x / |x| for Pi and its
-three-operation dPi, because they are cheaper on the flow's hot path.
-A tube radius below the reach a_min^2 / a_max bounds the neighborhood
-on which projection and chart operations are trusted; a
+rows at once by Newton's method inside the bracket (-e, e) that the tube
+check proves, e = tube_radius * a_max. Implicit differentiation of that
+formula gives the differential dPi_x, a symmetric matrix, and once more
+the derivative of x -> dPi_x(g) for fixed g, which the chart energy's
+linearization uses. The level set G(y) = sum y^2 / a^2 - 1 gives the
+unit normal and the second fundamental form, which appears only as the
+tension field's curvature term, _tangent_curvature: it takes the tangent
+part of Du and contracts the shape operator with it from one unit normal
+per point. The tube check hands on the projection's denominator
+d = a^2 + t, which is |x| on a sphere (there a^2 = 1 and t = |x| - 1),
+and projection and its derivatives use d as given. The sphere keeps two
+shortcuts, x / |x| for Pi and its three-operation dPi; the flow reaches
+only Pi, and the dPi shortcut serves the chart energy of reduce-run and
+loj-estimate. A tube radius below the reach a_min^2 / a_max bounds the
+neighborhood on which projection and chart operations are trusted; a
 point belongs to it when its exact distance |x - Pi(x)| is below the
 radius: on a sphere that is ||x| - 1| < radius, which also rejects
 x = 0, NaN and inf.
 
 Each target binds the tube check, the projection and the curvature term
 to its constants once, on first use: a^2, the tube radius, and on an
-ellipsoid a_max, a_min^2 and the end values of the tube check. A sphere
+ellipsoid the edge e and the end values of the tube check. A sphere
 skips its divisions by a^2 = 1, which are exact. The public methods and
 the flow's stages call the same bound functions.
 """
@@ -115,9 +116,10 @@ class TargetManifold:
         tube_radius * a_max, where the decreasing root function g of
         _multiplier changes sign. A row where g does not change sign on
         (-e, e) is outside the tube (x = 0, NaN and points near the centre
-        among them) and fails before the solve. For the others the sign
-        change guarantees the one solve a root, and |t x / d| is the exact
-        distance.
+        among them) and fails before the solve. The others hand their
+        a^2 x^2, computed once for the sign check, and e to _multiplier,
+        whose Newton iteration stays in (-e, e); |t x / d| is then the
+        exact distance.
         """
         radius = self.tube_radius
         if self.kind == "sphere":
@@ -134,10 +136,11 @@ class TargetManifold:
         radius2 = radius**2
 
         def tube(x):
-            g_ends = (a2 * x * x) @ ends - 1.0
+            ax2 = a2 * x * x
+            g_ends = ax2 @ ends - 1.0
             if not (g_ends * signs > 0.0).all():
                 return False, None
-            t = self._multiplier(x)
+            t = self._multiplier(ax2, edge)
             d = a2 + t
             offset = t * x / d
             return bool((np.add.reduce(offset * offset, -1) < radius2).all()), d
@@ -219,41 +222,28 @@ class TargetManifold:
 
         return nearest
 
-    def _multiplier(self, x):
-        """Lagrange multiplier t of every row, shape x.shape[:-1] + (1,).
+    def _multiplier(self, ax2, edge):
+        """Lagrange multiplier t of every row, shape ax2.shape[:-1] + (1,),
+        from the rows' a^2 x^2 and the tube check's edge e.
 
-        The root of g(t) = sum a^2 x^2 / (a^2 + t)^2 - 1, which is convex
-        and strictly decreasing on (-min a^2, inf). One bracket holds every
-        row's root: g blows up at the left end, and g <= 0 once
-        a_min^2 + t >= a_max |x|. Each row shrinks its own copy; a Newton
-        step that leaves it is replaced by bisection.
+        The root of g(t) = sum a^2 x^2 / (a^2 + t)^2 - 1, convex and
+        strictly decreasing on (-min a^2, inf); _tube has shown g(-e) > 0 >
+        g(e). From either side of the root, a Newton step of a convex
+        decreasing g lands at or left of it and then climbs to it
+        monotonically, so clipping the step at -e is the only safeguard.
         """
         a2 = self._a2
-        a_max, a2_min = self._bracket
-        ax2 = a2 * x * x
-        top = float(a_max * np.sqrt(np.add.reduce(x * x, -1).max()) - a2_min)
-        shape = x.shape[:-1] + (1,)
-        t = np.zeros(shape)
-        lo = np.full(shape, -a2_min)
-        hi = np.full(shape, max(top, 0.0))
+        t = np.zeros(ax2.shape[:-1] + (1,))
         for _ in range(_PROJ_MAX_ITER):
             s = a2 + t
             q = ax2 / (s * s)
             g = np.add.reduce(q, -1, keepdims=True) - 1.0
             if abs(g).max() <= _PROJ_TOL:
                 return t
-            lo = np.where(g > 0.0, t, lo)
-            hi = np.where(g < 0.0, t, hi)
-            newton = t + g / (2.0 * np.add.reduce(q / s, -1, keepdims=True))
-            t = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            t = np.maximum(t + g / (2.0 * np.add.reduce(q / s, -1, keepdims=True)), -edge)
         raise RuntimeError(
             f"ellipsoid projection did not converge: residual {float(np.max(np.abs(g))):.3e}"
         )
-
-    @cached_property
-    def _bracket(self):
-        """(a_max, a_min^2), the constants of _multiplier's bracket."""
-        return self.semi_axes.max(), float(self._a2.min())
 
     # -- differential of projection ----------------------------------------
 

@@ -275,6 +275,37 @@ def test_streamed_distance_exponent_equals_the_full_broadcast(terms, grid_n, blo
     assert finite_dim_distance_exponent(f, box, grid_n) == expected
 
 
+def loop_lower_envelope(v, g):
+    """The per-bin loop _lower_envelope replaced: every nonempty bin's
+    first minimum of g, bins in increasing order."""
+    lv = np.log10(v)
+    lo, hi = float(np.min(lv)), float(np.max(lv))
+    n_bins = max(1, int(np.ceil((hi - lo) * 6)))
+    idx = np.clip(np.digitize(lv, np.linspace(lo, hi, n_bins + 1)) - 1, 0, n_bins - 1)
+    keep = [int(np.argmin(np.where(idx == b, g, np.inf))) for b in range(n_bins) if np.any(idx == b)]
+    return v[keep], g[keep]
+
+
+def test_lower_envelope_equals_the_per_bin_loop():
+    rng = np.random.default_rng(71)
+    cases = [
+        (np.array([0.3]), np.array([2.0])),  # a single sample
+        (np.array([1.0, 1.2, 1.1, 1.3]), np.array([5.0, 4.0, 4.0, 6.0])),  # one bin, tied minima
+    ]
+    for _ in range(300):
+        size = int(rng.integers(2, 60))
+        v = 10.0 ** rng.uniform(-4.0, 0.0, size)
+        # g drawn from a few values, so most bins hold tied minima; v stays
+        # distinct, so equal v arrays mean the same samples were kept
+        g = rng.integers(1, 4, size).astype(float)
+        cases.append((v, g))
+    for v, g in cases:
+        env = lojasiewicz._lower_envelope(v, g)
+        expected = loop_lower_envelope(v, g)
+        assert np.array_equal(env[0], expected[0]) and np.array_equal(env[1], expected[1])
+    assert [a.tolist() for a in lojasiewicz._lower_envelope(*cases[1])] == [[1.2], [4.0]]
+
+
 @pytest.mark.parametrize("n_dims, per_axis, fan_out", [(1, 29, 1), (2, 7, 1), (2, 7, 3), (3, 5, 2)])
 def test_grid_blocks_stream_the_row_major_grid(n_dims, per_axis, fan_out, monkeypatch):
     monkeypatch.setattr(lojasiewicz, "_BLOCK_FLOATS", 12)

@@ -174,6 +174,34 @@ def test_vectorized_projection_matches_scalar_reference(axes):
     np.testing.assert_allclose(e.project_nearest(x[7]), proj[7], rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.3), (1.5, 1.0, 0.8), (1.0, 2.0), (1.0, 1.2, 0.9, 1.4)])
+def test_ellipsoid_multiplier_stays_in_the_tube_bracket(axes):
+    # rows 0.999 tube radii off the target, outside and inside: the
+    # multiplier's root lies near the edge e of the tube check's bracket
+    e = TargetManifold.ellipsoid(axes)
+    rng = np.random.default_rng(28)
+    y = rng.standard_normal((40, len(axes)))
+    y = y / np.linalg.norm(y / e.semi_axes, axis=1, keepdims=True)
+    a2 = e.semi_axes**2
+    edge = e.tube_radius * e.semi_axes.max()
+    for sign in (1.0, -1.0):
+        x = y + sign * 0.999 * e.tube_radius * e.unit_normal(y)
+        ax2 = a2 * x * x
+        if axes == (1.0, 1.0, 1.3) and sign < 0.0:
+            # every inner row's first Newton step from t = 0 overshoots -e,
+            # so the solve below has to clip
+            g0 = np.sum(ax2 / (a2 * a2), axis=-1) - 1.0
+            assert np.all(g0 / (2.0 * np.sum(ax2 / a2**3, axis=-1)) < -edge)
+        t = e._multiplier(ax2, edge)
+        assert np.all((-edge <= t) & (t <= edge))
+        s = a2 + t
+        assert np.abs(np.sum(ax2 / (s * s), axis=-1) - 1.0).max() <= 1e-13
+        # the solve stops once |g| <= 1e-13, which leaves t up to about
+        # 1e-13 / |g'(t)| from the bisected root: 3.4e-14 in Pi at worst here
+        ref = np.stack([scalar_projection(e, row) for row in x])
+        np.testing.assert_allclose(e.project_nearest(x), ref, rtol=0.0, atol=1e-13)
+
+
 def test_tangent_projector_algebra():
     e = TargetManifold.ellipsoid((1.5, 1.0, 0.8))
     y = e.project_nearest(np.array([1.2, 0.5, 0.3]))
