@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -188,11 +189,10 @@ def _run_energy_eval(config, outdir, seed):
 def _run_flow(config, outdir, seed):
     state = make_initial_map(config, seed)
     trace = run_flow(state, config.flow, distance_stride=config.output.stride)
-    # the rows whose map run_flow kept: every stride-th step and the last
-    rows = [
-        (trace.times[i], trace.energies[i], trace.grad_norms[i], trace.dist_to_limit[i])
-        for i in np.flatnonzero(~np.isnan(trace.dist_to_limit))
-    ]
+    # the rows whose map run_flow kept (every stride-th step and the last), streamed
+    kept = np.flatnonzero(~np.isnan(trace.dist_to_limit))
+    columns = (trace.times, trace.energies, trace.grad_norms, trace.dist_to_limit)
+    rows = zip(*(column[kept].tolist() for column in columns))
     _write_csv(outdir, "trace.csv", ("t", "energy", "grad_norm", "dist_to_limit"), rows)
     try:
         fit = fit_convergence_rate(trace)
@@ -268,8 +268,10 @@ def _run_loj_estimate(config, outdir, seed):
     trace = run_flow(state, config.flow, distance_stride=None)
     e_inf = float(trace.energies[-1])
     traj_gaps, traj_grads = trajectory_pairs(trace)
-    rows = [(g, d, "flow") for g, d in zip(traj_gaps, traj_grads)]
-    rows += [(g, d, "perturbation") for g, d in zip(pert_gaps, pert_grads)]
+    rows = chain(
+        zip(traj_gaps.tolist(), traj_grads.tolist(), repeat("flow")),
+        zip(pert_gaps, pert_grads, repeat("perturbation")),
+    )
     _write_csv(outdir, "cloud.csv", ("value_gap", "grad_norm", "source"), rows)
     cloud = make_cloud(
         np.concatenate([traj_gaps, pert_gaps]),

@@ -18,9 +18,10 @@ the tension and the target's projection, finite_dim_flow -grad f and
 the identity, and each reuses the gradient it records as the first
 stage.
 
-Traces store scalars per step. For dist_to_limit the flow also keeps a
-copy of the map at every distance_stride-th step, in preallocated blocks
-of rows, and measures each kept map against the terminal state once the
+A run records each step's time, energy and gradient norm in float64
+blocks, with no Python object per step. For dist_to_limit the flow also
+keeps a copy of the map at every distance_stride-th step, in blocks of
+rows, and measures each kept map against the terminal state once the
 flow stops: the trajectory is integrated once, and the kept maps cost
 (recorded rows) x n x p x 8 bytes, up to a limit at which the run fails
 by name. The rate fit's lines come from lojasiewicz._ols, the package's one
@@ -49,12 +50,12 @@ __all__ = [
 # The integrators, each with the length of its real stability interval [-c, 0].
 _STABILITY_INTERVAL = {"projected_euler": 2.0, "projected_rk4": 2.785}
 
-# run_flow keeps maps in blocks of this many rows: one buffer sized for
-# every step up to t_max would be reserved at once, and a long horizon
-# that the tolerance cuts short would fail to allocate. It raises before
-# a new block would take the kept maps above _KEPT_LIMIT_BYTES, so a run
-# that needs more (n = 512 at stride 1 to the tolerance) fails by name,
-# not by the OS; the default n = 256 run keeps about 1.5 GiB.
+# run_flow records steps and keeps maps in blocks of this many rows: a
+# buffer for every step up to t_max would be reserved at once, and a long
+# horizon that the tolerance cuts short would fail to allocate. It raises
+# before a new block would take the kept maps above _KEPT_LIMIT_BYTES, so
+# a run that needs more (n = 512 at stride 1 to the tolerance) fails by
+# name, not by the OS; the default n = 256 run keeps about 1.5 GiB.
 _KEPT_BLOCK_ROWS = 1024
 _KEPT_LIMIT_BYTES = 4 * 2**30
 
@@ -156,20 +157,23 @@ def run_flow(initial, config, distance_stride=1):
     h = mesh.spacing
     dt = config.dt_factor * h * h
     _check_stable(mesh, dt, config.integrator)
-    if distance_stride is not None and distance_stride < 1:
-        raise ValueError("distance_stride must be at least 1 or None")
+    integral = isinstance(distance_stride, (int, np.integer)) and not isinstance(distance_stride, bool)
+    if distance_stride is not None and not (integral and distance_stride >= 1):
+        raise ValueError("distance_stride must be an integer of at least 1 or None")
     n_max = int(np.ceil(config.t_max / dt))
     step, tension = _bind_step(mesh, target, dt, config.integrator)
-    times, energies, grads = [], [], []
+    record = []  # blocks of rows t, energy, gradient norm; one column a step
     values = initial.values
     kept = []
     t = 0.0
     for k in range(n_max + 1):
         k1, du, normal = tension(values)
         mt = _tangent_part(k1, normal)
-        times.append(t)
-        energies.append(integrate(mesh, np.add.reduce(du * du, 1)))
-        grads.append(float(np.sqrt(integrate(mesh, np.add.reduce(mt * mt, 1)))))
+        grad = float(np.sqrt(integrate(mesh, np.add.reduce(mt * mt, 1))))
+        col = k % _KEPT_BLOCK_ROWS
+        if col == 0:
+            record.append(np.empty((3, _KEPT_BLOCK_ROWS)))
+        record[-1][:, col] = t, integrate(mesh, np.add.reduce(du * du, 1)), grad
         if distance_stride is not None and k % distance_stride == 0:
             block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
             if slot == 0:
@@ -181,28 +185,31 @@ def run_flow(initial, config, distance_stride=1):
                     )
                 kept.append(np.empty((_KEPT_BLOCK_ROWS,) + values.shape))
             kept[block][slot] = values
-        if grads[-1] < config.stop_grad_tol or k == n_max:
+        if grad < config.stop_grad_tol or k == n_max:
             break
         values = step(values, k1)
         t += dt
-    dist = np.full(len(times), np.nan)
+    dist = np.full(k + 1, np.nan)
     if distance_stride is not None:
-        for row, k in enumerate(range(0, len(times), distance_stride)):
+        for row, j in enumerate(range(0, k + 1, distance_stride)):
             block, slot = divmod(row, _KEPT_BLOCK_ROWS)
             diff = kept[block][slot] - values
-            dist[k] = float(np.sqrt(integrate(mesh, np.sum(diff * diff, axis=1))))
+            dist[j] = float(np.sqrt(integrate(mesh, np.sum(diff * diff, axis=1))))
         # the terminal state is the limit itself
         dist[-1] = 0.0
+    del kept  # copy the record only once the kept maps are freed: the loop sets the peak
+    record[-1] = record[-1][:, : col + 1]
+    times, energies, grads = np.concatenate(record, axis=1)
     echo = {
         "dt": dt,
         "dt_factor": config.dt_factor,
         "t_max": config.t_max,
         "stop_grad_tol": config.stop_grad_tol,
         "integrator": config.integrator,
-        "n_steps": len(times) - 1,
-        "stopped_on_tolerance": bool(grads[-1] < config.stop_grad_tol),
+        "n_steps": k,
+        "stopped_on_tolerance": bool(grad < config.stop_grad_tol),
     }
-    return FlowTrace(np.array(times), np.array(energies), np.array(grads), dist, echo)
+    return FlowTrace(times, energies, grads, dist, echo)
 
 
 def _gaps_to_limit(trace):

@@ -259,6 +259,46 @@ def test_loj_estimate_artifacts(tmp_path):
     assert sources == {"flow", "perturbation"}
 
 
+def tuple_row_csv(header, rows):
+    """The bytes of the former CSV writers: a list of one tuple of numpy
+    scalars a row, each float written through repr."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def n16_run(tmp_path, subcommand, stride=1):
+    """(config, outdir) of a seed-7 n = 16 run of subcommand."""
+    payload = {"domain": {"n_nodes": 16}, "output": {"stride": stride}}
+    out = str(tmp_path / "out")
+    assert main([subcommand, "--config", write_config(tmp_path, payload), "--out", out, "--seed", "7"]) == 0
+    return parse_config(json.dumps(payload)), out
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_trace_csv_matches_the_former_tuple_rows(tmp_path, stride):
+    config, out = n16_run(tmp_path, "flow-run", stride)
+    trace = flow.run_flow(make_initial_map(config, 7), config.flow, distance_stride=stride)
+    rows = [
+        (trace.times[i], trace.energies[i], trace.grad_norms[i], trace.dist_to_limit[i])
+        for i in np.flatnonzero(~np.isnan(trace.dist_to_limit))
+    ]
+    with open(os.path.join(out, "trace.csv"), "r", encoding="utf-8") as fh:
+        assert fh.read() == tuple_row_csv(("t", "energy", "grad_norm", "dist_to_limit"), rows)
+
+
+def test_cloud_csv_matches_the_former_tuple_rows(tmp_path):
+    config, out = n16_run(tmp_path, "loj-estimate")
+    pert_gaps, pert_grads = cli._perturbation_pairs(config, 7)
+    trace = flow.run_flow(make_initial_map(config, 7), config.flow, distance_stride=None)
+    traj_gaps, traj_grads = cli.trajectory_pairs(trace)
+    rows = [(g, d, "flow") for g, d in zip(traj_gaps, traj_grads)]
+    rows += [(g, d, "perturbation") for g, d in zip(pert_gaps, pert_grads)]
+    with open(os.path.join(out, "cloud.csv"), "r", encoding="utf-8") as fh:
+        assert fh.read() == tuple_row_csv(("value_gap", "grad_norm", "source"), rows)
+
+
 def test_loj_estimate_fails_on_the_workspace_before_the_flow(tmp_path, monkeypatch):
     def bad_workspace(*args, **kwargs):
         raise ValueError("no spectral gap")

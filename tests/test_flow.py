@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from loopflow.flow import (
 )
 from loopflow.mesh import build_circle_mesh, differentiate, integrate
 from loopflow.polynomials import polynomial
-from loopflow.targets import TargetManifold
+from loopflow.targets import TargetManifold, _tangent_part
 from loopflow.variational import MapState, energy, map_state, tangential_tension, tension_field
 
 
@@ -146,8 +147,6 @@ def test_flow_without_distance_fill():
     trace = run_flow(perturbed_equator(16), config, distance_stride=None)
     assert not trace.config_echo["stopped_on_tolerance"]
     assert np.all(np.isnan(trace.dist_to_limit))
-    with pytest.raises(ValueError, match="distance_stride"):
-        run_flow(perturbed_equator(16), config, distance_stride=0)
 
 
 def perturbed_ellipsoid(n):
@@ -325,6 +324,123 @@ def test_kept_maps_raise_by_name_before_a_block_passes_the_limit(monkeypatch):
     # the same run at stride 2 needs one block, and without kept maps none
     assert run_flow(initial, config, distance_stride=2).config_echo["stopped_on_tolerance"]
     assert run_flow(initial, config, distance_stride=None).config_echo["stopped_on_tolerance"]
+
+
+@pytest.mark.parametrize("stride", [2.0, 2.5, True, 0, -1])
+def test_run_flow_rejects_a_stride_that_is_not_a_positive_integer_before_a_step(monkeypatch, stride):
+    # 2.0 and 2.5 used to fail at step 0 with an unnamed TypeError, and True
+    # ran as 1
+    def no_step(*args):
+        raise AssertionError("a step was bound")
+
+    monkeypatch.setattr(flow_module, "_bind_step", no_step)
+    config = FlowConfig(dt_factor=0.25, t_max=0.5)
+    with pytest.raises(ValueError, match="distance_stride must be an integer of at least 1 or None"):
+        run_flow(perturbed_equator(16), config, distance_stride=stride)
+
+
+def test_run_flow_accepts_a_numpy_integer_stride():
+    config = FlowConfig(dt_factor=0.25, t_max=0.5)
+    trace = run_flow(perturbed_equator(16), config, distance_stride=np.int64(3))
+    expected = run_flow(perturbed_equator(16), config, distance_stride=3)
+    assert np.array_equal(trace.dist_to_limit, expected.dist_to_limit, equal_nan=True)
+    assert np.isnan(trace.dist_to_limit[1]) and trace.dist_to_limit[3] > 0.0
+
+
+def list_run_flow(initial, config, distance_stride):
+    """run_flow's former loop, which appended three Python floats a step to
+    three lists and kept every distance_stride-th map in a list."""
+    mesh, target = initial.mesh, initial.target
+    h = mesh.spacing
+    dt = config.dt_factor * h * h
+    n_max = int(np.ceil(config.t_max / dt))
+    step, tension = flow_module._bind_step(mesh, target, dt, config.integrator)
+    times, energies, grads, kept = [], [], [], []
+    values = initial.values
+    t = 0.0
+    for k in range(n_max + 1):
+        k1, du, normal = tension(values)
+        mt = _tangent_part(k1, normal)
+        times.append(t)
+        energies.append(integrate(mesh, np.add.reduce(du * du, 1)))
+        grads.append(float(np.sqrt(integrate(mesh, np.add.reduce(mt * mt, 1)))))
+        if distance_stride is not None and k % distance_stride == 0:
+            kept.append(values)
+        if grads[-1] < config.stop_grad_tol or k == n_max:
+            break
+        values = step(values, k1)
+        t += dt
+    dist = np.full(len(times), np.nan)
+    if distance_stride is not None:
+        for row, k in enumerate(range(0, len(times), distance_stride)):
+            diff = kept[row] - values
+            dist[k] = float(np.sqrt(integrate(mesh, np.sum(diff * diff, axis=1))))
+        dist[-1] = 0.0
+    echo = {
+        "dt": dt,
+        "dt_factor": config.dt_factor,
+        "t_max": config.t_max,
+        "stop_grad_tol": config.stop_grad_tol,
+        "integrator": config.integrator,
+        "n_steps": len(times) - 1,
+        "stopped_on_tolerance": bool(grads[-1] < config.stop_grad_tol),
+    }
+    return FlowTrace(np.array(times), np.array(energies), np.array(grads), dist, echo)
+
+
+def seeded_map(payload):
+    return make_initial_map(parse_config(payload), seed=7)
+
+
+SPHERE_24 = '{"domain": {"n_nodes": 24}}'
+ELLIPSOID_8 = (
+    '{"domain": {"n_nodes": 8}, "target": {"kind": "ellipsoid", '
+    '"ambient_dim": 3, "semi_axes": [1.0, 1.0, 1.3]}}'
+)
+S3_ORDER4_16 = '{"domain": {"n_nodes": 16, "diff_order": 4}, "target": {"kind": "sphere", "ambient_dim": 4}}'
+
+
+# the seed-7 n = 24 sphere run takes 2,208 steps, so its record spans three blocks
+@pytest.mark.parametrize(
+    "payload, config, stride",
+    [
+        (SPHERE_24, FlowConfig(), 1),
+        (SPHERE_24, FlowConfig(), 7),
+        (SPHERE_24, FlowConfig(), None),
+        (ELLIPSOID_8, FlowConfig(t_max=100.0), 1),
+        (S3_ORDER4_16, FlowConfig(t_max=20.0, integrator="projected_euler"), 1),
+    ],
+    ids=["s2-n24-stride1", "s2-n24-stride7", "s2-n24-no-distances", "ellipsoid-n8", "s3-order4-euler-n16"],
+)
+def test_flow_record_matches_the_former_list_loop(payload, config, stride):
+    initial = seeded_map(payload)
+    trace = run_flow(initial, config, distance_stride=stride)
+    expected = list_run_flow(initial, config, stride)
+    assert np.array_equal(trace.times, expected.times)
+    assert np.array_equal(trace.energies, expected.energies)
+    assert np.array_equal(trace.grad_norms, expected.grad_norms)
+    assert np.array_equal(trace.dist_to_limit, expected.dist_to_limit, equal_nan=True)
+    assert trace.config_echo == expected.config_echo
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_flow_record_costs_no_python_object_per_step(stride):
+    # tracemalloc counts bytes allocated, so unlike RSS it repeats run to
+    # run. Less the kept maps' blocks, the run's peak must stay within 64
+    # bytes a row plus 64 KiB: the former lists of Python floats took about
+    # 130 bytes a row (289,152 bytes for this run's 2,209 rows at stride None)
+    initial = seeded_map(SPHERE_24)
+    tracemalloc.start()
+    try:
+        trace = run_flow(initial, FlowConfig(), distance_stride=stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = trace.times.size
+    kept_rows = 0 if stride is None else -(-rows // stride)
+    blocks = -(-kept_rows // flow_module._KEPT_BLOCK_ROWS)
+    kept_bytes = blocks * flow_module._KEPT_BLOCK_ROWS * initial.values.nbytes
+    assert peak - kept_bytes <= 64 * rows + 64 * 1024
 
 
 def synthetic_trace(times, energies):
