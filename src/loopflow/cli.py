@@ -63,33 +63,27 @@ __all__ = ["main", "make_initial_map", "build_parser"]
 # -- initial data ----------------------------------------------------------
 
 
-def _make_target(config):
-    t = config.target
-    if t.kind == "sphere":
-        return TargetManifold.sphere(t.ambient_dim)
-    return TargetManifold.ellipsoid(t.semi_axes)
-
-
-def _base_points(mesh, target, base_cfg):
-    if base_cfg.file is not None:
-        path = base_cfg.file
-        if path.endswith(".npy"):
-            pts = np.load(path)
-        else:
-            pts = np.loadtxt(path, delimiter=",", ndmin=2)
-        pts = np.asarray(pts, dtype=float)
-        expected = (mesh.n_nodes, target.ambient_dim)
-        if pts.shape != expected:
-            raise ValueError(
-                f"base map file {path} has shape {pts.shape}, expected {expected}"
-            )
-        return pts
-    k = base_cfg.degree
-    theta = mesh.node_angles
-    pts = np.zeros((mesh.n_nodes, target.ambient_dim))
-    pts[:, 0] = target.semi_axes[0] * np.cos(k * theta)
-    pts[:, 1] = target.semi_axes[1] * np.sin(k * theta)
-    return pts
+def _base_loop(config):
+    """(mesh, target, base) of a run: base is the loop in base_map.file,
+    or else the degree-k circle in the target's first two axes."""
+    mesh = build_circle_mesh(**asdict(config.domain))
+    t, path = config.target, config.base_map.file
+    target = TargetManifold.sphere(t.ambient_dim) if t.kind == "sphere" else TargetManifold.ellipsoid(t.semi_axes)
+    shape = (mesh.n_nodes, target.ambient_dim)
+    if path is None:
+        k, theta = config.base_map.degree, mesh.node_angles
+        base = np.zeros(shape)
+        base[:, 0] = target.semi_axes[0] * np.cos(k * theta)
+        base[:, 1] = target.semi_axes[1] * np.sin(k * theta)
+        return mesh, target, base
+    try:
+        loaded = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",", ndmin=2)
+        base = np.asarray(loaded, dtype=float)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"base_map.file {path}: {exc}") from exc
+    if base.shape != shape:
+        raise ValueError(f"base_map.file {path} has shape {base.shape}, expected {shape}")
+    return mesh, target, base
 
 
 def make_initial_map(config, seed=None):
@@ -102,9 +96,7 @@ def make_initial_map(config, seed=None):
     fibers and pushed back to the target through the chart. Amplitude 0
     returns the base loop bit for bit.
     """
-    mesh = build_circle_mesh(config.domain.n_nodes, config.domain.diff_order)
-    target = _make_target(config)
-    base = _base_points(mesh, target, config.base_map)
+    mesh, target, base = _base_loop(config)
     pert = config.perturbation
     if pert.amplitude == 0.0:
         return map_state(mesh, target, base)
@@ -154,7 +146,7 @@ def _write_csv(outdir, name, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
     return path
 
 
@@ -210,16 +202,8 @@ def _run_flow(config, outdir, seed):
 
 def _reduction_workspace(config):
     """Reduction workspace of the chart energy at the configured base loop."""
-    mesh = build_circle_mesh(config.domain.n_nodes, config.domain.diff_order)
-    target = _make_target(config)
-    bundle = build_pullback_bundle(mesh, target, _base_points(mesh, target, config.base_map))
-    return build_reduction_workspace(
-        bundle,
-        energy_functional_on_bundle(bundle),
-        kernel_tol=config.reduction.kernel_tol,
-        newton_tol=config.reduction.newton_tol,
-        newton_max_iter=config.reduction.newton_max_iter,
-    )
+    bundle = build_pullback_bundle(*_base_loop(config))
+    return build_reduction_workspace(bundle, energy_functional_on_bundle(bundle), **asdict(config.reduction))
 
 
 def _perturbation_pairs(config, seed):
@@ -253,10 +237,8 @@ def trajectory_pairs(trace):
     """
     _, _, gaps, grads = _gaps_to_limit(trace)
     gaps = np.abs(gaps)
-    if gaps.size:
-        keep = gaps <= 0.5 * gaps[0]
-        gaps, grads = gaps[keep], grads[keep]
-    return gaps, grads
+    keep = gaps <= 0.5 * gaps[0]
+    return gaps[keep], grads[keep]
 
 
 def _run_loj_estimate(config, outdir, seed):
@@ -295,8 +277,7 @@ def _run_loj_estimate(config, outdir, seed):
 
 def _run_reduce(config, outdir, seed):
     workspace = _reduction_workspace(config)
-    loj = config.lojasiewicz
-    sweep = sandwich_sweep(workspace, tuple(loj.radii), loj.samples_per_radius, seed)
+    sweep = sandwich_sweep(workspace, **asdict(config.lojasiewicz), seed=seed)
     report = {
         "kernel_dimension": workspace.kernel_dim,
         "kernel_eigenvalues": workspace.kernel_eigenvalues,

@@ -199,8 +199,9 @@ def _build_section(name, cls, data):
 def _validate(config):
     """The rules that join keys; each key's own rule sits on its field."""
     base, target = config.base_map, config.target
-    if base.degree < 1 and base.file is None:
-        raise ValueError("base_map.degree must be a positive integer")
+    n = config.domain.n_nodes
+    if base.file is None and not 2 <= 2 * base.degree < n:  # at 2 degree >= n the nodes alias the loop
+        raise ValueError(f"base_map.degree must be at least 1 and below half of domain.n_nodes ({n})")
     if target.kind == "sphere" and target.semi_axes is not None:
         raise ValueError("target.semi_axes applies to an ellipsoid only; leave it out for a sphere")
     if target.kind == "ellipsoid" and len(target.semi_axes or ()) != target.ambient_dim:

@@ -29,7 +29,7 @@ least-squares helper, which fits in closed form and loads no LAPACK.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -200,15 +200,7 @@ def run_flow(initial, config, distance_stride=1):
     del kept  # copy the record only once the kept maps are freed: the loop sets the peak
     record[-1] = record[-1][:, : col + 1]
     times, energies, grads = np.concatenate(record, axis=1)
-    echo = {
-        "dt": dt,
-        "dt_factor": config.dt_factor,
-        "t_max": config.t_max,
-        "stop_grad_tol": config.stop_grad_tol,
-        "integrator": config.integrator,
-        "n_steps": k,
-        "stopped_on_tolerance": bool(grad < config.stop_grad_tol),
-    }
+    echo = {**asdict(config), "dt": dt, "n_steps": k, "stopped_on_tolerance": bool(grad < config.stop_grad_tol)}
     return FlowTrace(times, energies, grads, dist, echo)
 
 

@@ -463,11 +463,13 @@ OVERFLOW_ENTRY = {
         ),
         ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1.0]}}, [], "lojasiewicz.radii"),
         ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1e308]}}, [], "lojasiewicz.radii"),
+        ("energy-eval", {"domain": {"n_nodes": 16}, "base_map": {"degree": 8}}, [], "base_map.degree"),
     ],
     ids=[
         "file_not_string", "directory_not_string", "directory_empty", "polynomials_not_list",
         "label_not_string", "negative_seed_key", "negative_seed_flag", "infinite_semi_axis",
         "kernel_tol_keeps_none", "overflowing_radii", "radius_outside_chart", "radius_overflows",
+        "aliased_degree",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line_naming_it(
@@ -480,6 +482,25 @@ def test_bad_input_exits_one_with_one_error_line_naming_it(
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"].startswith(named)
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("loop.csv", lambda path: path.write_text("1;2;3\n")),
+        ("loop.npy", lambda path: np.save(path, np.array([{}, None], dtype=object))),
+        ("missing.npy", lambda path: None),
+    ],
+    ids=["csv_not_comma_separated", "npy_of_objects", "missing"],
+)
+def test_unreadable_base_map_file_fails_naming_the_key(name, write, tmp_path, capfd):
+    path = tmp_path / name
+    write(path)
+    config_path = write_config(tmp_path, {"domain": {"n_nodes": 16}, "base_map": {"file": str(path)}})
+    assert main(["energy-eval", "--config", config_path, "--out", str(tmp_path / "out")]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(f"base_map.file {path}: ")
 
 
 def test_overflowing_radii_leave_one_stderr_line(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 
@@ -7,12 +8,17 @@ import pytest
 from loopflow.config import (
     RNG_NAME,
     VERSION,
+    DomainSection,
+    LojasiewiczSection,
+    ReductionSection,
     RunConfig,
     parse_config,
     parse_config_file,
     resolved_dict,
 )
 from loopflow.flow import FlowConfig
+from loopflow.mesh import build_circle_mesh
+from loopflow.reduction import build_reduction_workspace, sandwich_sweep
 
 
 def test_empty_documents_give_defaults():
@@ -97,11 +103,35 @@ def test_document_and_section_shape_checks():
             '{"target": {"kind": "ellipsoid", "semi_axes": ["a", 1, 1]}}',
             r"^target\.semi_axes\[0\] must be a number$",
         ),
+        # at 2 * degree >= n_nodes the nodes sample a different loop
+        ('{"domain": {"n_nodes": 16}, "base_map": {"degree": 8}}', r"^base_map\.degree .*domain\.n_nodes \(16\)"),
+        ('{"domain": {"n_nodes": 16}, "base_map": {"degree": 12}}', r"^base_map\.degree .*domain\.n_nodes \(16\)"),
+        ('{"domain": {"n_nodes": 17}, "base_map": {"degree": 9}}', r"^base_map\.degree .*domain\.n_nodes \(17\)"),
     ],
 )
 def test_field_validation_messages(doc, message):
     with pytest.raises(ValueError, match=message):
         parse_config(doc)
+
+
+# the rule compares integers, so an n_nodes past any float's range still parses
+@pytest.mark.parametrize("n_nodes, degree", [(16, 7), (17, 8), (10**400, 1)], ids=["16-7", "17-8", "huge-1"])
+def test_degree_below_half_the_nodes_parses(n_nodes, degree):
+    config = parse_config(json.dumps({"domain": {"n_nodes": n_nodes}, "base_map": {"degree": degree}}))
+    assert config.base_map.degree == degree
+    # a loop read from a file has no degree to alias
+    given = parse_config(json.dumps({"domain": {"n_nodes": 16}, "base_map": {"degree": 12, "file": "loop.npy"}}))
+    assert given.base_map.degree == 12
+
+
+@pytest.mark.parametrize(
+    "section, call",
+    [(DomainSection, build_circle_mesh), (ReductionSection, build_reduction_workspace),
+     (LojasiewiczSection, sandwich_sweep)],
+)
+def test_section_fields_are_keywords_of_the_call_they_configure(section, call):
+    # the CLI hands each of these sections whole to its call, as **asdict(section)
+    assert {f.name for f in dataclasses.fields(section)} <= inspect.signature(call).parameters.keys()
 
 
 INTEGER_KEYS = [

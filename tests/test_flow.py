@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -147,6 +148,16 @@ def test_flow_without_distance_fill():
     trace = run_flow(perturbed_equator(16), config, distance_stride=None)
     assert not trace.config_echo["stopped_on_tolerance"]
     assert np.all(np.isnan(trace.dist_to_limit))
+
+
+def test_flow_echo_is_the_whole_config_and_the_run():
+    config = FlowConfig(dt_factor=0.25, t_max=0.5, stop_grad_tol=1e-3, integrator="projected_euler")
+    initial = perturbed_equator(16)
+    trace = run_flow(initial, config)
+    given = {f.name: getattr(config, f.name) for f in dataclasses.fields(FlowConfig)}
+    h = initial.mesh.spacing
+    run = {"dt": 0.25 * h * h, "n_steps": len(trace.times) - 1, "stopped_on_tolerance": False}
+    assert trace.config_echo == {**given, **run}
 
 
 def perturbed_ellipsoid(n):
