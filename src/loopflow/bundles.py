@@ -5,6 +5,9 @@ the target and orthonormal fiber frames, one per node; a section
 stores one fiber vector per node. The bundle gradient is the fiberwise
 projected derivative of the section. Charts move between small sections
 and nearby loops on the target through nearest-point projection.
+The L2 and Sobolev norms keep their own sums, np.sum(w * f), and not
+mesh.integrate's w @ f: the reduce-run and loj-estimate artifacts
+depend on those exact bits.
 """
 
 from dataclasses import dataclass

@@ -37,7 +37,7 @@ from .lojasiewicz import (
     make_cloud,
     verify_inequality,
 )
-from .mesh import build_circle_mesh, integrate
+from .mesh import _sq_norm, build_circle_mesh
 from .polynomials import from_term_list
 from .reduction import (
     _random_fiber_field,
@@ -78,6 +78,8 @@ def _base_loop(config):
         return mesh, target, base
     try:
         loaded = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",", ndmin=2)
+        if loaded.dtype.kind not in "fiu":
+            raise ValueError(f"holds {loaded.dtype} values, not real numbers")
         base = np.asarray(loaded, dtype=float)
     except (OSError, ValueError) as exc:
         raise ValueError(f"base_map.file {path}: {exc}") from exc
@@ -150,10 +152,6 @@ def _write_csv(outdir, name, header, rows):
     return path
 
 
-def _state_l2(state, field):
-    return float(np.sqrt(integrate(state.mesh, np.sum(field * field, axis=1))))
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -164,8 +162,8 @@ def _run_energy_eval(config, outdir, seed):
     m_tan = state.target.tangent_part(state.values, m_raw)
     report = {
         "energy": e,
-        "tension_l2": _state_l2(state, m_raw),
-        "tangential_tension_l2": _state_l2(state, m_tan),
+        "tension_l2": float(np.sqrt(_sq_norm(state.mesh, m_raw))),
+        "tangential_tension_l2": float(np.sqrt(_sq_norm(state.mesh, m_tan))),
         "n_nodes": state.mesh.n_nodes,
         "diff_order": state.mesh.diff_order,
         "target_kind": state.target.kind,

@@ -24,8 +24,11 @@ keeps a copy of the map at every distance_stride-th step, in blocks of
 rows, and measures each kept map against the terminal state once the
 flow stops: the trajectory is integrated once, and the kept maps cost
 (recorded rows) x n x p x 8 bytes, up to a limit at which the run fails
-by name. The rate fit's lines come from lojasiewicz._ols, the package's one
-least-squares helper, which fits in closed form and loads no LAPACK.
+by name. The recorded energy, gradient norm and distances go through
+mesh._sq_norm, as energy-eval's report does, so a trace's first row
+holds that report's E and ||M_E|| bit for bit. The rate fit's lines come
+from lojasiewicz._ols, the package's one least-squares helper, which
+fits in closed form and loads no LAPACK.
 """
 
 import math
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .lojasiewicz import _ols
-from .mesh import integrate
+from .mesh import _sq_norm
 from .targets import _tangent_part
 from .variational import MapState, _bind_tension
 
@@ -168,12 +171,11 @@ def run_flow(initial, config, distance_stride=1):
     t = 0.0
     for k in range(n_max + 1):
         k1, du, normal = tension(values)
-        mt = _tangent_part(k1, normal)
-        grad = float(np.sqrt(integrate(mesh, np.add.reduce(mt * mt, 1))))
+        grad = math.sqrt(_sq_norm(mesh, _tangent_part(k1, normal)))
         col = k % _KEPT_BLOCK_ROWS
         if col == 0:
             record.append(np.empty((3, _KEPT_BLOCK_ROWS)))
-        record[-1][:, col] = t, integrate(mesh, np.add.reduce(du * du, 1)), grad
+        record[-1][:, col] = t, _sq_norm(mesh, du), grad
         if distance_stride is not None and k % distance_stride == 0:
             block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
             if slot == 0:
@@ -193,8 +195,7 @@ def run_flow(initial, config, distance_stride=1):
     if distance_stride is not None:
         for row, j in enumerate(range(0, k + 1, distance_stride)):
             block, slot = divmod(row, _KEPT_BLOCK_ROWS)
-            diff = kept[block][slot] - values
-            dist[j] = float(np.sqrt(integrate(mesh, np.sum(diff * diff, axis=1))))
+            dist[j] = math.sqrt(_sq_norm(mesh, kept[block][slot] - values))
         # the terminal state is the limit itself
         dist[-1] = 0.0
     del kept  # copy the record only once the kept maps are freed: the loop sets the peak
@@ -249,10 +250,14 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     """RK4 on dx/dt = -grad f for a polynomial f; trace of f and |grad f|.
 
     The step is _stepper's RK4 with the identity as projection, and each
-    recorded gradient is its first stage. dt must divide t_max (to 1e-9
-    relative), so the trace ends at t_max.
+    recorded gradient is its first stage. x0 must be f.n_vars finite
+    numbers, and dt must divide t_max (to 1e-9 relative), so the trace
+    ends at t_max. A state that leaves the ball of radius 1e6, or stops
+    being a number, raises.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
+    if x.shape != (f.n_vars,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be a finite 1-D array of length {f.n_vars}, got {x0!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0.0 < t_max < math.inf:
@@ -276,7 +281,7 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
         if k == n_steps:
             break
         x = step(x, -gradient)
-        if float(np.linalg.norm(x)) > 1e6:
+        if not float(np.linalg.norm(x)) <= 1e6:
             raise RuntimeError(f"finite-dimensional flow diverged at t = {t:.3f}")
         t += dt
     dist = np.linalg.norm(states - states[-1], axis=1)

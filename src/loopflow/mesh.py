@@ -11,6 +11,9 @@ once per node count; the first and second differences of one field share
 that gather. Each mesh binds its gather, neighbour index and stencil
 denominators (2h and h^2, or 12h and 12h^2 at order 4) once, on first
 use, and every difference here and in the flow goes through them.
+integrate is the one quadrature of map fields: E(u), ||M_E(u)|| and the
+flow's dist(u, u_inf) all go through _sq_norm, built on it. Only
+bundles, whose sums keep their own bits (see there), reads quad_weights.
 """
 
 from dataclasses import dataclass
@@ -137,3 +140,8 @@ def integrate(mesh, field):
     if f.ndim != 1:
         raise ValueError("integrate expects a scalar field, one value per node")
     return float(mesh.quad_weights @ f)
+
+
+def _sq_norm(mesh, field):
+    """Squared L2 norm of an (n, p) field: integrate of its rows' |.|^2."""
+    return integrate(mesh, np.add.reduce(field * field, 1))

@@ -182,9 +182,8 @@ class TargetManifold:
         tension field's curvature term, and the package's only one.
 
         c = <X_t, 2 X_t / a^2> / |grad G| is the level set's second
-        fundamental form, with grad G = 2 y / a^2; halving both gradients
-        gives the normal's y / a^2 and its norm gn, so c is computed as
-        <X_t, 2 X_t / a^2> / (2 gn).
+        fundamental form, with grad G = 2 y / a^2. The 2s cancel against
+        gn = |y / a^2| = |grad G| / 2, so c is <X_t, X_t / a^2> / gn.
         """
         normal = self._normal
         a2 = None if self.kind == "sphere" else self._a2
@@ -192,8 +191,7 @@ class TargetManifold:
         def tangent_curvature(y, X):
             n, gn = normal(y)
             Xt = _tangent_part(X, n)
-            twice = 2.0 * Xt if a2 is None else 2.0 * Xt / a2
-            return np.add.reduce(Xt * twice, -1, keepdims=True) / (2.0 * gn), n
+            return np.add.reduce(Xt * (Xt if a2 is None else Xt / a2), -1, keepdims=True) / gn, n
 
         return tangent_curvature
 

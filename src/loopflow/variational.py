@@ -1,8 +1,9 @@
 """Dirichlet energy of loops, tension fields, and Euler-Lagrange assembly.
 
-The energy of a loop uses the mesh's centered first difference, so the
-energy of a degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an
-order-2 mesh. The tension field is the classical pointwise assembly
+The energy of a loop is mesh._sq_norm of its centered first difference
+(every map-field norm here goes through mesh), so the energy of a
+degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an order-2 mesh.
+The tension field is the classical pointwise assembly
 Delta u - A_u(Du, Du); its fiberwise tangential part is the constrained
 gradient of the discrete energy up to O(h^2).
 _bind_tension binds it to a mesh and a target once: tension_field and
@@ -39,6 +40,7 @@ from .bundles import _check_same_bundle, _same_bundle, project_section, section,
 from .mesh import (
     _differences,
     _neighbour_index,
+    _sq_norm,
     build_circle_mesh,
     differentiate,
     forward_difference,
@@ -88,8 +90,7 @@ def map_state(mesh, target, values):
 
 
 def _ambient_energy(mesh, values):
-    du = differentiate(mesh, values)
-    return integrate(mesh, np.sum(du * du, axis=1))
+    return _sq_norm(mesh, differentiate(mesh, values))
 
 
 def energy(state):
@@ -156,11 +157,11 @@ def first_variation_check(state, direction):
     minus = target.project_nearest(state.values - step * xi)
 
     def staggered_energy(values):
-        return integrate(mesh, np.sum(forward_difference(mesh, values) ** 2, axis=1))
+        return _sq_norm(mesh, forward_difference(mesh, values))
 
     lhs = (staggered_energy(plus) - staggered_energy(minus)) / (2.0 * step)
     mt = tangential_tension(state)
-    rhs = -2.0 * float(np.sum(mesh.quad_weights * np.sum(mt * xi, axis=1)))
+    rhs = -2.0 * integrate(mesh, np.sum(mt * xi, axis=1))
     mismatch = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-9)
     return lhs, rhs, mismatch
 
@@ -332,7 +333,7 @@ def energy_functional_on_bundle(bundle):
     base = bundle.base_map
     compact = build_circle_mesh(mesh.n_nodes, diff_order=2)
     state = MapState(mesh, target, base)
-    resid = float(np.sqrt(np.sum(mesh.quad_weights * np.sum(tangential_tension(state) ** 2, axis=1))))
+    resid = float(np.sqrt(_sq_norm(mesh, tangential_tension(state))))
     e0 = _ambient_energy(mesh, base)
     if resid > 0.05 * max(1.0, np.sqrt(e0)):
         raise ValueError(
@@ -403,7 +404,7 @@ def with_quartic_penalty(functional, weight):
 
     def value_fn(bnd, values):
         q = np.sum(values * values, axis=1) ** 2
-        return base_value(bnd, values) + w * float(np.sum(bnd.mesh.quad_weights * q))
+        return base_value(bnd, values) + w * integrate(bnd.mesh, q)
 
     def el_fn(bnd, values):
         nsq = np.sum(values * values, axis=1, keepdims=True)
@@ -542,8 +543,7 @@ def quadratic_remainder_check(bundle, functional, s1, s2, lin=None):
     m1 = general_euler_lagrange(bundle, functional, s1).values
     m2 = general_euler_lagrange(bundle, functional, s2).values
     rem_field = m1 - m2 - _from_coords(bundle, lin @ _to_coords(bundle, d))
-    w = mesh.quad_weights
-    remainder = float(np.sqrt(np.sum(w * np.sum(rem_field**2, axis=1))))
+    remainder = float(np.sqrt(_sq_norm(mesh, rem_field)))
 
     def c2_sup(values):
         d1, d2 = _differences(mesh, values)

@@ -484,14 +484,23 @@ def test_bad_input_exits_one_with_one_error_line_naming_it(
     assert json.loads(lines[0])["error"].startswith(named)
 
 
+def great_circle_16():
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros(16)], axis=1)
+
+
 @pytest.mark.parametrize(
     "name, write",
     [
         ("loop.csv", lambda path: path.write_text("1;2;3\n")),
         ("loop.npy", lambda path: np.save(path, np.array([{}, None], dtype=object))),
         ("missing.npy", lambda path: None),
+        # numpy casts these to float with at most a ComplexWarning: the real
+        # part of a complex loop, and a bool loop as rows of ones and zeros
+        ("complex.npy", lambda path: np.save(path, great_circle_16() + 1j)),
+        ("bool.npy", lambda path: np.save(path, np.tile([True, False, False], (16, 1)))),
     ],
-    ids=["csv_not_comma_separated", "npy_of_objects", "missing"],
+    ids=["csv_not_comma_separated", "npy_of_objects", "missing", "complex", "bool"],
 )
 def test_unreadable_base_map_file_fails_naming_the_key(name, write, tmp_path, capfd):
     path = tmp_path / name
@@ -501,6 +510,35 @@ def test_unreadable_base_map_file_fails_naming_the_key(name, write, tmp_path, ca
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"].startswith(f"base_map.file {path}: ")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"domain": {"n_nodes": 24, "diff_order": 2}, "flow": {"t_max": 50.0}},
+        {
+            "domain": {"n_nodes": 8, "diff_order": 2},
+            "target": {"kind": "ellipsoid", "ambient_dim": 3, "semi_axes": [1.0, 1.0, 1.3]},
+            "flow": {"t_max": 100.0},
+        },
+        {
+            "domain": {"n_nodes": 16, "diff_order": 4},
+            "target": {"kind": "sphere", "ambient_dim": 4},
+            "flow": {"t_max": 20.0, "integrator": "projected_euler"},
+        },
+    ],
+    ids=["flow-sphere", "ellipsoid-flow", "s3-euler-order4"],
+)
+def test_energy_eval_and_flow_run_agree_at_t0(payload, tmp_path):
+    # E(u) and ||M_E(u)||: one quadrature, so the report and the trace's
+    # first row hold the same floats
+    config_path = write_config(tmp_path, payload)
+    for command in ("energy-eval", "flow-run"):
+        assert main([command, "--config", config_path, "--out", str(tmp_path / command), "--seed", "7"]) == 0
+    report = read_json(str(tmp_path / "energy-eval"), "energy_report.json")
+    with open(tmp_path / "flow-run" / "trace.csv", encoding="utf-8") as fh:
+        t, e, grad, _ = map(float, fh.readlines()[1].split(","))
+    assert (t, e, grad) == (0.0, report["energy"], report["tangential_tension_l2"])
 
 
 def test_overflowing_radii_leave_one_stderr_line(tmp_path):

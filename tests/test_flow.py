@@ -593,6 +593,14 @@ def test_finite_dim_flow_guards():
     hill = polynomial({(2,): -1.0})
     with pytest.raises(RuntimeError, match="diverged"):
         finite_dim_flow(hill, [1.0], dt=1e-2, t_max=10.0)
+    # x0 is f.n_vars finite numbers: NaN and inf used to return all-NaN
+    # traces, a second entry ran silently and [] raised an IndexError
+    for x0 in ([np.nan], [np.inf], [1.0, 2.0], [], [[1.0]], 1.0):
+        with pytest.raises(ValueError, match="x0 must be a finite 1-D array of length 1"):
+            finite_dim_flow(f, x0, dt=1e-2, t_max=1.0)
+    # a state that overflows to NaN diverges: it used to run on as NaN
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged at t = 0.000"):
+        finite_dim_flow(polynomial({(4,): 1.0, (6,): -1.0}), [1e110], dt=1e-2, t_max=1.0)
 
 
 def test_finite_dim_trace_layout():

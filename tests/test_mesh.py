@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loopflow.mesh import (
+    _sq_norm,
     build_circle_mesh,
     differentiate,
     forward_difference,
@@ -118,6 +119,17 @@ def test_integrate_constants_and_waves():
     # pure waves integrate to zero exactly on the periodic grid
     th = mesh.node_angles
     assert abs(integrate(mesh, np.cos(3 * th))) < 1e-13
+
+
+def test_sq_norm_integrates_the_rows_squared_lengths():
+    mesh = build_circle_mesh(24)
+    f = np.random.default_rng(3).standard_normal((24, 3))
+    assert _sq_norm(mesh, f) == integrate(mesh, np.sum(f * f, axis=1))
+    # a unit-speed great circle: |u|^2 = 1 at every node, so 2 pi
+    th = mesh.node_angles
+    assert abs(_sq_norm(mesh, np.stack([np.cos(th), np.sin(th), 0 * th], axis=1)) - 2.0 * np.pi) < 1e-13
+    with pytest.raises(ValueError, match="leading dimension 23"):
+        _sq_norm(mesh, f[:-1])
 
 
 def test_differentiate_vector_fields_componentwise():
