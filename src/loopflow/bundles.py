@@ -5,16 +5,16 @@ the target and orthonormal fiber frames, one per node; a section
 stores one fiber vector per node. The bundle gradient is the fiberwise
 projected derivative of the section. Charts move between small sections
 and nearby loops on the target through nearest-point projection.
-The L2 and Sobolev norms keep their own sums, np.sum(w * f), and not
-mesh.integrate's w @ f: the reduce-run and loj-estimate artifacts
-depend on those exact bits.
+The L2 pairing and the Sobolev norms are quadratures through
+mesh.integrate, the one quadrature of map fields and sections alike.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _differences, differentiate
+from .mesh import _differences, _sq_norm, differentiate, integrate
 
 __all__ = [
     "PullbackBundle", "BundleSection", "build_pullback_bundle", "section", "project_section",
@@ -141,27 +141,18 @@ def l2_inner(s1, s2):
     """Quadrature-weighted L2 pairing of two sections over the same bundle."""
     if s1.bundle is not s2.bundle:
         _check_same_bundle(s1.bundle, s2)
-    w = s1.bundle.mesh.quad_weights
-    return float(np.sum(w * np.sum(s1.values * s2.values, axis=1)))
+    return integrate(s1.bundle.mesh, np.add.reduce(s1.values * s2.values, 1))
 
 
 def l2_norm(sec):
-    return float(np.sqrt(max(l2_inner(sec, sec), 0.0)))
+    return math.sqrt(_sq_norm(sec.bundle.mesh, sec.values))
 
 
 def sobolev_norms(sec):
     """(L2, W^{1,2}, W^{2,2}) norms; derivatives taken componentwise."""
-    mesh = sec.bundle.mesh
-    w = mesh.quad_weights
-    v = sec.values
-    dv, ddv = _differences(mesh, v)
-    l2sq = float(np.sum(w * np.sum(v * v, axis=1)))
-    d1sq = float(np.sum(w * np.sum(dv * dv, axis=1)))
-    d2sq = float(np.sum(w * np.sum(ddv * ddv, axis=1)))
-    l2 = np.sqrt(max(l2sq, 0.0))
-    w12 = np.sqrt(max(l2sq + d1sq, 0.0))
-    w22 = np.sqrt(max(l2sq + d1sq + d2sq, 0.0))
-    return l2, w12, w22
+    mesh, v = sec.bundle.mesh, sec.values
+    l2sq, d1sq, d2sq = (_sq_norm(mesh, f) for f in (v, *_differences(mesh, v)))
+    return math.sqrt(l2sq), math.sqrt(l2sq + d1sq), math.sqrt(l2sq + d1sq + d2sq)
 
 
 # -- charts ----------------------------------------------------------------

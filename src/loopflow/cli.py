@@ -85,6 +85,7 @@ def _base_loop(config):
         raise ValueError(f"base_map.file {path}: {exc}") from exc
     if base.shape != shape:
         raise ValueError(f"base_map.file {path} has shape {base.shape}, expected {shape}")
+    target.require_on_manifold(base, what=f"base_map.file {path}")
     return mesh, target, base
 
 

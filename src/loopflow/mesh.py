@@ -11,9 +11,9 @@ once per node count; the first and second differences of one field share
 that gather. Each mesh binds its gather, neighbour index and stencil
 denominators (2h and h^2, or 12h and 12h^2 at order 4) once, on first
 use, and every difference here and in the flow goes through them.
-integrate is the one quadrature of map fields: E(u), ||M_E(u)|| and the
-flow's dist(u, u_inf) all go through _sq_norm, built on it. Only
-bundles, whose sums keep their own bits (see there), reads quad_weights.
+integrate is the one quadrature of map fields and sections: E(u),
+||M_E(u)||, the flow's dist(u, u_inf) and the bundles' L2 and Sobolev
+norms all go through _sq_norm, built on it.
 """
 
 from dataclasses import dataclass

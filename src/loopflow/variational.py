@@ -1,7 +1,7 @@
 """Dirichlet energy of loops, tension fields, and Euler-Lagrange assembly.
 
 The energy of a loop is mesh._sq_norm of its centered first difference
-(every map-field norm here goes through mesh), so the energy of a
+(every quadrature here goes through mesh.integrate), so the energy of a
 degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an order-2 mesh.
 The tension field is the classical pointwise assembly
 Delta u - A_u(Du, Du); its fiberwise tangential part is the constrained
@@ -197,7 +197,8 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
     """FunctionalSpec for a generic integrand F(theta, z, eta), z and eta
     ambient vectors.
 
-    The value is the staggered (midpoint) quadrature of the integrand.
+    The value is the staggered (midpoint) quadrature of the integrand:
+    integrate of F(mid, z, eta) - F(mid, 0, 0), node by node.
     The Euler-Lagrange field differentiates that quadrature: node j
     receives the averaged z-partial minus the difference of the
     fiber-projected eta-flux. On its first call in each ambient
@@ -212,13 +213,10 @@ def make_functional_spec(label, integrand, partial_z, partial_eta, validity_radi
 
     def value_fn(bundle, values):
         mid, vbar, _, eta = _staggered_data(bundle, values)
-        h = bundle.mesh.spacing
         zero = np.zeros(bundle.target.ambient_dim)
-        total = 0.0
-        for i in range(bundle.mesh.n_nodes):
-            total += integrand(mid[i], vbar[i], eta[i])
-            total -= integrand(mid[i], zero, zero)
-        return h * total
+        return integrate(bundle.mesh, np.array(
+            [integrand(m, z, e) - integrand(m, zero, zero) for m, z, e in zip(mid, vbar, eta)]
+        ))
 
     def el_fn(bundle, values):
         n, p = values.shape

@@ -489,27 +489,41 @@ def great_circle_16():
     return np.stack([np.cos(theta), np.sin(theta), np.zeros(16)], axis=1)
 
 
+def nan_row_16():
+    loop = great_circle_16()
+    loop[3] = np.nan
+    return loop
+
+
 @pytest.mark.parametrize(
-    "name, write",
+    "name, write, after",
     [
-        ("loop.csv", lambda path: path.write_text("1;2;3\n")),
-        ("loop.npy", lambda path: np.save(path, np.array([{}, None], dtype=object))),
-        ("missing.npy", lambda path: None),
+        ("loop.csv", lambda path: path.write_text("1;2;3\n"), ": "),
+        ("loop.npy", lambda path: np.save(path, np.array([{}, None], dtype=object)), ": "),
+        ("missing.npy", lambda path: None, ": "),
         # numpy casts these to float with at most a ComplexWarning: the real
         # part of a complex loop, and a bool loop as rows of ones and zeros
-        ("complex.npy", lambda path: np.save(path, great_circle_16() + 1j)),
-        ("bool.npy", lambda path: np.save(path, np.tile([True, False, False], (16, 1)))),
+        ("complex.npy", lambda path: np.save(path, great_circle_16() + 1j), ": "),
+        ("bool.npy", lambda path: np.save(path, np.tile([True, False, False], (16, 1))), ": "),
+        # loops off the target, which map_state (at amplitude 0) or the
+        # pullback bundle would reject without naming the key or the path
+        ("nan_row.npy", lambda path: np.save(path, nan_row_16()), " is off the target manifold: "),
+        ("scaled.npy", lambda path: np.save(path, 1.1 * great_circle_16()), " is off the target manifold: "),
     ],
-    ids=["csv_not_comma_separated", "npy_of_objects", "missing", "complex", "bool"],
+    ids=["csv_not_comma_separated", "npy_of_objects", "missing", "complex", "bool", "nan_row", "scaled"],
 )
-def test_unreadable_base_map_file_fails_naming_the_key(name, write, tmp_path, capfd):
+def test_unreadable_base_map_file_fails_naming_the_key(name, write, after, tmp_path, capfd):
     path = tmp_path / name
     write(path)
-    config_path = write_config(tmp_path, {"domain": {"n_nodes": 16}, "base_map": {"file": str(path)}})
-    assert main(["energy-eval", "--config", config_path, "--out", str(tmp_path / "out")]) == 1
-    lines = capfd.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"].startswith(f"base_map.file {path}: ")
+    payload = {"domain": {"n_nodes": 16}, "base_map": {"file": str(path)}}
+    # amplitude 0 hands the base loop to map_state, any other to the bundle
+    for amplitude in (0.05, 0.0):
+        config_path = write_config(tmp_path, {**payload, "perturbation": {"amplitude": amplitude}})
+        for command in ("energy-eval", "flow-run", "reduce-run"):
+            assert main([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 1
+            lines = capfd.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"].startswith(f"base_map.file {path}{after}")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopflow.bundles import build_pullback_bundle, l2_inner, l2_norm, project_section, sobolev_norms
 from loopflow.mesh import (
     _sq_norm,
     build_circle_mesh,
@@ -9,6 +10,7 @@ from loopflow.mesh import (
     integrate,
     laplace_beltrami,
 )
+from loopflow.targets import TargetManifold
 
 
 def backward_difference(mesh, f):
@@ -130,6 +132,15 @@ def test_sq_norm_integrates_the_rows_squared_lengths():
     assert abs(_sq_norm(mesh, np.stack([np.cos(th), np.sin(th), 0 * th], axis=1)) - 2.0 * np.pi) < 1e-13
     with pytest.raises(ValueError, match="leading dimension 23"):
         _sq_norm(mesh, f[:-1])
+    # sections' norms are the same quadrature, bit for bit
+    targets = (TargetManifold.sphere(3), TargetManifold.sphere(4), TargetManifold.ellipsoid((1.0, 1.0, 1.3)))
+    for target in targets:
+        base = np.zeros((24, target.ambient_dim))
+        base[:, 0], base[:, 1] = target.semi_axes[0] * np.cos(th), target.semi_axes[1] * np.sin(th)
+        bundle = build_pullback_bundle(mesh, target, base)
+        sec = project_section(bundle, np.random.default_rng(4).standard_normal(base.shape))
+        assert l2_inner(sec, sec) == _sq_norm(mesh, sec.values)
+        assert sobolev_norms(sec)[0] == l2_norm(sec)
 
 
 def test_differentiate_vector_fields_componentwise():

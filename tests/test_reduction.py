@@ -287,6 +287,28 @@ def test_invert_N_refreshes_a_poor_chord_matrix(energy_ws):
     assert l2_norm(section(ws.bundle, back.values - f.values)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "n, degree, seed, min_halvings", [(48, 10, 0, 0), (128, 8, 1, 1)], ids=["n48-degree10", "n128-degree8"]
+)
+def test_invert_N_refreshes_and_halves_on_higher_degree_circles(n, degree, seed, min_halvings):
+    # with the workspace's own chord: at L2 norm 0.0999, just inside the
+    # basin, these right-hand sides reach the Jacobian refresh (2 and 3
+    # assemblies) and, in the second case, one line-search halving
+    mesh = build_circle_mesh(n)
+    th = mesh.node_angles
+    base = np.zeros((n, 3))
+    base[:, 0], base[:, 1] = np.cos(degree * th), np.sin(degree * th)
+    b = build_pullback_bundle(mesh, TargetManifold.sphere(3), base)
+    ws = build_reduction_workspace(b, energy_functional_on_bundle(b))
+    g = _random_smooth_section(b, np.random.default_rng(seed))
+    f = section(b, g.values * (0.0999 / l2_norm(g)))
+    u, info = invert_N(ws, f, return_info=True)
+    assert info["jacobian_assemblies"] >= 1
+    assert info["halvings"] >= min_halvings
+    assert info["residuals"][-1] <= ws.newton_tol
+    assert l2_norm(section(b, apply_N(ws, u).values - f.values)) <= ws.newton_tol
+
+
 def test_invert_N_names_a_singular_refreshed_jacobian(energy_ws, monkeypatch):
     ws = dataclasses.replace(energy_ws, chord_inverse=2.0 * energy_ws.chord_inverse)
     m = ws.chord_inverse.shape[0]
