@@ -68,7 +68,10 @@ def _base_loop(config):
     or else the degree-k circle in the target's first two axes."""
     mesh = build_circle_mesh(**asdict(config.domain))
     t, path = config.target, config.base_map.file
-    target = TargetManifold.sphere(t.ambient_dim) if t.kind == "sphere" else TargetManifold.ellipsoid(t.semi_axes)
+    try:
+        target = TargetManifold.sphere(t.ambient_dim) if t.kind == "sphere" else TargetManifold.ellipsoid(t.semi_axes)
+    except ValueError as exc:  # semi-axes so uneven that the reach rounds to 0
+        raise ValueError(f"target.semi_axes {t.semi_axes}: {exc}") from exc
     shape = (mesh.n_nodes, target.ambient_dim)
     if path is None:
         k, theta = config.base_map.degree, mesh.node_angles
@@ -105,7 +108,7 @@ def make_initial_map(config, seed=None):
         return map_state(mesh, target, base)
     if pert.amplitude >= target.tube_radius:
         raise ValueError(
-            f"perturbation amplitude {pert.amplitude} must stay below the "
+            f"perturbation.amplitude {pert.amplitude} must stay below the target's "
             f"tube radius {target.tube_radius}"
         )
     rng = np.random.default_rng(pert.seed if seed is None else seed)
@@ -119,7 +122,12 @@ def make_initial_map(config, seed=None):
         field += np.outer(a * np.cos(m * theta) + b * np.sin(m * theta), d)
     field *= pert.amplitude
     bundle = build_pullback_bundle(mesh, target, base)
-    pts = chart_decode(bundle, project_section(bundle, field))
+    try:
+        pts = chart_decode(bundle, project_section(bundle, field))
+    except ValueError as exc:  # the modes' sum, up to amplitude * mode_count, left the chart
+        raise ValueError(
+            f"perturbation.amplitude {pert.amplitude} with perturbation.mode_count {pert.mode_count}: {exc}"
+        ) from exc
     return map_state(mesh, target, pts)
 
 

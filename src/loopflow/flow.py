@@ -18,17 +18,20 @@ the tension and the target's projection, finite_dim_flow -grad f and
 the identity, and each reuses the gradient it records as the first
 stage.
 
-A run records each step's time, energy and gradient norm in float64
-blocks, with no Python object per step. For dist_to_limit the flow also
-keeps a copy of the map at every distance_stride-th step, in blocks of
-rows, and measures each kept map against the terminal state once the
-flow stops: the trajectory is integrated once, and the kept maps cost
-(recorded rows) x n x p x 8 bytes, up to a limit at which the run fails
-by name. The recorded energy, gradient norm and distances go through
-mesh._sq_norm, as energy-eval's report does, so a trace's first row
-holds that report's E and ||M_E|| bit for bit. The rate fit's lines come
-from lojasiewicz._ols, the package's one least-squares helper, which
-fits in closed form and loads no LAPACK.
+One record loop, _drive, serves both flows. It records each step's
+time, energy and gradient norm in float64 blocks, with no Python object
+per step, and raises, naming the step, when a step raises the energy by
+more than rounding: a trajectory that climbs is not a gradient flow, and
+a rate fitted to it would mean nothing. For dist_to_limit it also keeps
+a copy of the state at every distance_stride-th step, in blocks of rows,
+and measures each kept state against the terminal one once the flow
+stops: the trajectory is integrated once, and the kept maps of the loop
+flow cost (recorded rows) x n x p x 8 bytes, up to a limit at which the
+run fails by name. The loop flow's energy, gradient norm and distances
+go through mesh._sq_norm, as energy-eval's report does, so a trace's
+first row holds that report's E and ||M_E|| bit for bit. The rate fit's
+lines come from lojasiewicz._ols, the package's one least-squares
+helper, which fits in closed form and loads no LAPACK.
 """
 
 import math
@@ -73,8 +76,7 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_factor <= 0.5:
             raise ValueError("dt_factor must lie in (0, 0.5]")
-        if not 0.0 < self.t_max < math.inf:
-            raise ValueError("t_max must be positive and finite")
+        _positive_finite("t_max", self.t_max)
         if not 0.0 <= self.stop_grad_tol < math.inf:
             raise ValueError("stop_grad_tol must be finite and nonnegative")
         if self.integrator not in _STABILITY_INTERVAL:
@@ -88,6 +90,11 @@ class FlowTrace:
     grad_norms: np.ndarray
     dist_to_limit: np.ndarray
     config_echo: dict = field(default_factory=dict)
+
+
+def _positive_finite(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _stepper(rhs, project, dt, integrator):
@@ -123,8 +130,7 @@ def _check_stable(mesh, dt, integrator):
     largest eigenvalue of the Laplacian stencil, 4/h^2 at order 2 and
     16/(3 h^2) at order 4, and never more than 0.5 h^2.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
+    _positive_finite("dt", dt)
     if integrator not in _STABILITY_INTERVAL:
         raise ValueError(f"integrator must be one of {tuple(_STABILITY_INTERVAL)}")
     h = mesh.spacing
@@ -144,6 +150,58 @@ def flow_step(state, dt, integrator="projected_rk4"):
     return MapState(state.mesh, state.target, step(state.values, tension(state.values)[0]))
 
 
+def _drive(step, measure, x, dt, n_max, stop_tol, distance_stride, distance, integrator):
+    """The record loop of every flow: x <- step(x, k1) for at most n_max
+    steps of dt, stopping once |g| < stop_tol, where measure(x) returns
+    (k1, value, |g|). Returns the times, values and |g| of every step,
+    and distance(kept - last) for the state at every distance_stride-th
+    step (NaN in the other rows, and in all when distance_stride is None).
+    A step that raises the value by more than rounding raises, naming it.
+    """
+    record = []  # blocks of rows t, value, |g|; one column a step
+    kept = []
+    t = 0.0
+    for k in range(n_max + 1):
+        k1, value, grad = measure(x)
+        col = k % _KEPT_BLOCK_ROWS
+        if col == 0:
+            record.append(np.empty((3, _KEPT_BLOCK_ROWS)))
+        record[-1][:, col] = t, value, grad
+        if k == 0:
+            scale = abs(value)
+        elif value > last + 1e-12 * (scale + abs(last)):
+            raise RuntimeError(
+                f"the energy rose on step {k - 1} of {integrator} at dt = {dt:.3e}, from "
+                f"{float(last)!r} to {float(value)!r}: not a descent; lower the step"
+            )
+        last = value
+        if distance_stride is not None and k % distance_stride == 0:
+            block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
+            if slot == 0:
+                kept_bytes = (block + 1) * _KEPT_BLOCK_ROWS * x.nbytes
+                if kept_bytes > _KEPT_LIMIT_BYTES:
+                    raise ValueError(
+                        f"the maps kept by step {k} would take {kept_bytes} bytes, above the "
+                        f"limit of {_KEPT_LIMIT_BYTES} bytes: raise output.stride (distance_stride)"
+                    )
+                kept.append(np.empty((_KEPT_BLOCK_ROWS,) + x.shape))
+            kept[block][slot] = x
+        if grad < stop_tol or k == n_max:
+            break
+        x = step(x, k1)
+        t += dt
+    dist = np.full(k + 1, np.nan)
+    if distance_stride is not None:
+        for row, j in enumerate(range(0, k + 1, distance_stride)):
+            block, slot = divmod(row, _KEPT_BLOCK_ROWS)
+            dist[j] = distance(kept[block][slot] - x)
+        # the terminal state is the limit itself
+        dist[-1] = 0.0
+    del kept  # copy the record only once the kept states are freed: the loop sets the peak
+    record[-1] = record[-1][:, : col + 1]
+    return (*np.concatenate(record, axis=1), dist)
+
+
 def run_flow(initial, config, distance_stride=1):
     """Integrate until t_max or the tangential gradient drops below tolerance.
 
@@ -152,9 +210,10 @@ def run_flow(initial, config, distance_stride=1):
     dist_to_limit holds its L2 distance to the terminal state; the other
     rows, and every row when distance_stride is None, are NaN. Memory for
     the kept maps is (recorded rows) x n x p x 8 bytes, and a run raises
-    before it would pass _KEPT_LIMIT_BYTES. The tension field
-    computed for the recorded gradient norm is reused as the first stage
-    of the next step.
+    before it would pass _KEPT_LIMIT_BYTES. A step that raises the energy
+    by more than 1e-12 (|E(0)| + |E(k)|) raises a RuntimeError naming it.
+    The tension field computed for the recorded gradient norm is reused
+    as the first stage of the next step.
     """
     mesh, target = initial.mesh, initial.target
     h = mesh.spacing
@@ -165,43 +224,17 @@ def run_flow(initial, config, distance_stride=1):
         raise ValueError("distance_stride must be an integer of at least 1 or None")
     n_max = int(np.ceil(config.t_max / dt))
     step, tension = _bind_step(mesh, target, dt, config.integrator)
-    record = []  # blocks of rows t, energy, gradient norm; one column a step
-    values = initial.values
-    kept = []
-    t = 0.0
-    for k in range(n_max + 1):
-        k1, du, normal = tension(values)
-        grad = math.sqrt(_sq_norm(mesh, _tangent_part(k1, normal)))
-        col = k % _KEPT_BLOCK_ROWS
-        if col == 0:
-            record.append(np.empty((3, _KEPT_BLOCK_ROWS)))
-        record[-1][:, col] = t, _sq_norm(mesh, du), grad
-        if distance_stride is not None and k % distance_stride == 0:
-            block, slot = divmod(k // distance_stride, _KEPT_BLOCK_ROWS)
-            if slot == 0:
-                kept_bytes = (block + 1) * _KEPT_BLOCK_ROWS * values.nbytes
-                if kept_bytes > _KEPT_LIMIT_BYTES:
-                    raise ValueError(
-                        f"the maps kept by step {k} would take {kept_bytes} bytes, above the "
-                        f"limit of {_KEPT_LIMIT_BYTES} bytes: raise output.stride (distance_stride)"
-                    )
-                kept.append(np.empty((_KEPT_BLOCK_ROWS,) + values.shape))
-            kept[block][slot] = values
-        if grad < config.stop_grad_tol or k == n_max:
-            break
-        values = step(values, k1)
-        t += dt
-    dist = np.full(k + 1, np.nan)
-    if distance_stride is not None:
-        for row, j in enumerate(range(0, k + 1, distance_stride)):
-            block, slot = divmod(row, _KEPT_BLOCK_ROWS)
-            dist[j] = math.sqrt(_sq_norm(mesh, kept[block][slot] - values))
-        # the terminal state is the limit itself
-        dist[-1] = 0.0
-    del kept  # copy the record only once the kept maps are freed: the loop sets the peak
-    record[-1] = record[-1][:, : col + 1]
-    times, energies, grads = np.concatenate(record, axis=1)
-    echo = {**asdict(config), "dt": dt, "n_steps": k, "stopped_on_tolerance": bool(grad < config.stop_grad_tol)}
+
+    def measure(u):
+        k1, du, normal = tension(u)
+        return k1, _sq_norm(mesh, du), math.sqrt(_sq_norm(mesh, _tangent_part(k1, normal)))
+
+    times, energies, grads, dist = _drive(
+        step, measure, initial.values, dt, n_max, config.stop_grad_tol, distance_stride,
+        lambda d: math.sqrt(_sq_norm(mesh, d)), config.integrator,
+    )
+    stopped = bool(grads[-1] < config.stop_grad_tol)
+    echo = {**asdict(config), "dt": dt, "n_steps": times.size - 1, "stopped_on_tolerance": stopped}
     return FlowTrace(times, energies, grads, dist, echo)
 
 
@@ -253,37 +286,34 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     recorded gradient is its first stage. x0 must be f.n_vars finite
     numbers, and dt must divide t_max (to 1e-9 relative), so the trace
     ends at t_max. A state that leaves the ball of radius 1e6, or stops
-    being a number, raises.
+    being a number, raises, and so does a step that raises f.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (f.n_vars,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite 1-D array of length {f.n_vars}, got {x0!r}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
+    _positive_finite("dt", dt)
+    _positive_finite("t_max", t_max)
     ratio = t_max / dt
     n_steps = int(np.round(ratio))
     if abs(ratio - n_steps) > 1e-9 * ratio:
         raise ValueError("dt must divide t_max")
-    times = np.empty(n_steps + 1)
-    energies = np.empty(n_steps + 1)
-    grads = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, x.size))
-    step = _stepper(lambda y: -f.gradient(y), lambda y: y, dt, "projected_rk4")
+    rk4 = _stepper(lambda y: -f.gradient(y), lambda y: y, dt, "projected_rk4")
     t = 0.0
-    for k in range(n_steps + 1):
-        gradient = f.gradient(x)
-        times[k] = t
-        energies[k] = f.value(x)
-        grads[k] = float(np.linalg.norm(gradient))
-        states[k] = x
-        if k == n_steps:
-            break
-        x = step(x, -gradient)
-        if not float(np.linalg.norm(x)) <= 1e6:
+
+    def step(y, k1):
+        nonlocal t
+        y = rk4(y, k1)
+        if not float(np.linalg.norm(y)) <= 1e6:
             raise RuntimeError(f"finite-dimensional flow diverged at t = {t:.3f}")
         t += dt
-    dist = np.linalg.norm(states - states[-1], axis=1)
-    echo = {"dt": dt, "t_max": t_max, "kind": "finite_dim", "f": str(f)}
-    return FlowTrace(times, energies, grads, dist, echo)
+        return y
+
+    def measure(y):
+        gradient = f.gradient(y)
+        return -gradient, float(f.value(y)), float(np.linalg.norm(gradient))
+
+    def distance(d):  # not np.linalg.norm: a 1-D norm takes a BLAS dot, with other bits
+        return math.sqrt(np.add.reduce(d * d))
+
+    record = _drive(step, measure, x, dt, n_steps, 0.0, 1, distance, "rk4")
+    return FlowTrace(*record, {"dt": dt, "t_max": t_max, "kind": "finite_dim", "f": str(f)})

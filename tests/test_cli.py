@@ -464,12 +464,33 @@ OVERFLOW_ENTRY = {
         ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1.0]}}, [], "lojasiewicz.radii"),
         ("reduce-run", {"domain": {"n_nodes": 16}, "lojasiewicz": {"radii": [1e308]}}, [], "lojasiewicz.radii"),
         ("energy-eval", {"domain": {"n_nodes": 16}, "base_map": {"degree": 8}}, [], "base_map.degree"),
+        # the three below used to name no key: the modes' sum leaving the
+        # chart, the default amplitude above a thin ellipsoid's tube, and a
+        # reach that rounds to 0
+        (
+            "energy-eval",
+            {"domain": {"n_nodes": 32}, "perturbation": {"mode_count": 400, "seed": 7}},
+            [],
+            "perturbation.amplitude 0.05 with perturbation.mode_count 400",
+        ),
+        (
+            "energy-eval",
+            {"target": {"kind": "ellipsoid", "ambient_dim": 3, "semi_axes": [1, 1, 100]}},
+            [],
+            "perturbation.amplitude 0.05 must stay below the target's tube radius 0.005",
+        ),
+        (
+            "energy-eval",
+            {"target": {"kind": "ellipsoid", "ambient_dim": 3, "semi_axes": [1e-300, 1, 1]}},
+            [],
+            "target.semi_axes",
+        ),
     ],
     ids=[
         "file_not_string", "directory_not_string", "directory_empty", "polynomials_not_list",
         "label_not_string", "negative_seed_key", "negative_seed_flag", "infinite_semi_axis",
         "kernel_tol_keeps_none", "overflowing_radii", "radius_outside_chart", "radius_overflows",
-        "aliased_degree",
+        "aliased_degree", "modes_leave_the_chart", "amplitude_above_the_tube", "reach_rounds_to_zero",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line_naming_it(

@@ -94,6 +94,19 @@ def test_order_four_euler_stability_bound():
     flow_step(state, 0.45 * h * h, integrator="projected_rk4")
 
 
+def test_a_step_that_raises_the_energy_fails_by_name(monkeypatch):
+    # order-4 forward Euler at dt_factor 0.45 is past its bound 0.375 h^2.
+    # With that check off the energy climbs on 37 steps, the first at step
+    # 95 and by up to 0.94 E(0), yet the run used to stop on tolerance and
+    # report a rate for a trajectory that is not a gradient flow
+    monkeypatch.setattr(flow_module, "_check_stable", lambda mesh, dt, integrator: None)
+    state = make_initial_map(parse_config('{"domain": {"n_nodes": 64, "diff_order": 4}}'), 7)
+    config = FlowConfig(dt_factor=0.45, integrator="projected_euler")
+    message = r"energy rose on step 95 of projected_euler at dt = 4\.337e-03, from 6\.283557688590632 to 6\.28355871"
+    with pytest.raises(RuntimeError, match=message):
+        run_flow(state, config)
+
+
 def test_step_decreases_energy_both_integrators():
     state = perturbed_equator(32)
     h = state.mesh.spacing
@@ -560,8 +573,10 @@ def rk4_oracle_trace(f, x0, dt, n_steps):
     [
         ({(4,): 1.0}, [1.0], 0.01, 200),
         ({(2, 0): 1.0, (1, 1): 0.6, (0, 2): 2.0}, [1.0, -0.7], 0.01, 150),
+        # 2,501 rows: the record and the kept states cross two block boundaries
+        ({(2, 0): 1.0, (1, 1): 0.6, (0, 2): 2.0}, [1.0, -0.7], 0.001, 2500),
     ],
-    ids=["quartic", "quadratic-cross-term"],
+    ids=["quartic", "quadratic-cross-term", "quadratic-cross-term-three-blocks"],
 )
 def test_finite_dim_flow_matches_its_former_rk4_bit_for_bit(terms, x0, dt, n_steps):
     f = polynomial(terms)
@@ -601,6 +616,13 @@ def test_finite_dim_flow_guards():
     # a state that overflows to NaN diverges: it used to run on as NaN
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged at t = 0.000"):
         finite_dim_flow(polynomial({(4,): 1.0, (6,): -1.0}), [1e110], dt=1e-2, t_max=1.0)
+
+
+def test_finite_dim_flow_fails_by_name_when_f_rises():
+    # RK4 at dt = 1 overshoots x^4 from x = 1 to f = 4.4e23: the trace used
+    # to hold [1.0, 4.448e23] and raise nothing
+    with pytest.raises(RuntimeError, match=r"energy rose on step 0 of rk4 at dt = 1\.000e\+00, from 1\.0 to 4\.448"):
+        finite_dim_flow(polynomial({(4,): 1.0}), [1.0], dt=1.0, t_max=1.0)
 
 
 def test_finite_dim_trace_layout():
