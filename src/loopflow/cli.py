@@ -210,7 +210,13 @@ def _run_flow(config, outdir, seed):
 def _reduction_workspace(config):
     """Reduction workspace of the chart energy at the configured base loop."""
     bundle = build_pullback_bundle(*_base_loop(config))
-    return build_reduction_workspace(bundle, energy_functional_on_bundle(bundle), **asdict(config.reduction))
+    try:
+        functional = energy_functional_on_bundle(bundle)
+    except ValueError as exc:  # a base loop that is not near-harmonic
+        path = config.base_map.file
+        key = f"base_map.degree {config.base_map.degree}" if path is None else f"base_map.file {path}"
+        raise ValueError(f"{key}: {exc}") from exc
+    return build_reduction_workspace(bundle, functional, **asdict(config.reduction))
 
 
 def _perturbation_pairs(config, seed):

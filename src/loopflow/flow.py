@@ -8,10 +8,9 @@ variation structure of the energy. Recorded gradient norms are the
 fiberwise tangential part of the tension: the raw assembly carries an
 O(h^2) normal residue that never decays, while the tangential norm is
 the actual constrained gradient and is what the dissipation identity
-and the stopping rule see. A run binds its stage once: the target's
-projection with its tube check, the bound tension of
-variational._bind_tension, and the step's multiples of dt; no MapState
-is built per stage, and each stage's floats are those of
+and the stopping rule see. A run's stage calls the target's projection
+with its tube check and the tension of variational._bind_tension; no
+MapState is built per stage, and each stage's floats are those of
 project_nearest and tension_field. One stepper, _stepper, holds the
 Euler and RK4 stage arithmetic for both flows: the loop flow passes it
 the tension and the target's projection, finite_dim_flow -grad f and
@@ -117,9 +116,8 @@ def _stepper(rhs, project, dt, integrator):
 def _bind_step(mesh, target, dt, integrator):
     """(step, tension): tension is _bind_tension's function, and step is
     _stepper's on the tension field with the target's projection."""
-    nearest = target._nearest
     tension = _bind_tension(mesh, target)
-    step = _stepper(lambda u: tension(u)[0], lambda u: nearest(u)[0], dt, integrator)
+    step = _stepper(lambda u: tension(u)[0], lambda u: target._nearest(u)[0], dt, integrator)
     return step, tension
 
 
@@ -285,8 +283,10 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     The step is _stepper's RK4 with the identity as projection, and each
     recorded gradient is its first stage. x0 must be f.n_vars finite
     numbers, and dt must divide t_max (to 1e-9 relative), so the trace
-    ends at t_max. A state that leaves the ball of radius 1e6, or stops
-    being a number, raises, and so does a step that raises f.
+    ends at t_max. Every state is kept, so a dt and t_max whose states
+    would pass _KEPT_LIMIT_BYTES raise before a step. A state that leaves
+    the ball of radius 1e6, or stops being a number, raises, and so does
+    a step that raises f.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (f.n_vars,) or not np.all(np.isfinite(x)):
@@ -297,6 +297,12 @@ def finite_dim_flow(f, x0, dt=1e-3, t_max=100.0):
     n_steps = int(np.round(ratio))
     if abs(ratio - n_steps) > 1e-9 * ratio:
         raise ValueError("dt must divide t_max")
+    kept_bytes = -(-(n_steps + 1) // _KEPT_BLOCK_ROWS) * _KEPT_BLOCK_ROWS * x.nbytes
+    if kept_bytes > _KEPT_LIMIT_BYTES:
+        raise ValueError(
+            f"dt = {dt!r} and t_max = {t_max!r} take {n_steps} steps, whose kept states would take "
+            f"{kept_bytes} bytes, above the limit of {_KEPT_LIMIT_BYTES} bytes: raise dt or lower t_max"
+        )
     rk4 = _stepper(lambda y: -f.gradient(y), lambda y: y, dt, "projected_rk4")
     t = 0.0
 

@@ -8,9 +8,10 @@ difference is exactly antisymmetric under the quadrature inner product.
 A stencil reads a field's neighbours with one `take` along axis 0, whose
 index rows i+1, i-1 (and i+2, i-2 at order 4), taken mod n, are built
 once per node count; the first and second differences of one field share
-that gather. Each mesh binds its gather, neighbour index and stencil
-denominators (2h and h^2, or 12h and 12h^2 at order 4) once, on first
-use, and every difference here and in the flow goes through them.
+that gather. Three mesh methods hold the stencils: _gather(field), and
+_first(nb) and _second(f, nb) over its neighbours, divided by 2h and h^2,
+or 12h and 12h^2 at order 4. Every difference here and in the flow goes
+through them.
 integrate is the one quadrature of map fields and sections: E(u),
 ||M_E(u)||, the flow's dist(u, u_inf) and the bundles' L2 and Sobolev
 norms all go through _sq_norm, built on it.
@@ -40,11 +41,30 @@ class DomainMesh:
     quad_weights: np.ndarray
 
     @cached_property
-    def _stencils(self):
-        """(gather, first, second), bound to this mesh once: gather(field)
-        checks the field and returns it with its neighbours, and first(nb)
-        and second(f, nb) are the centered differences of that gather."""
-        return _bind_stencils(self)
+    def _index(self):
+        """The neighbour rows that the stencils of this order read."""
+        return _neighbour_index(self.n_nodes, self.diff_order // 2)
+
+    def _gather(self, field):
+        """(f, nb): the field, checked, and its neighbour rows nb."""
+        f = _check_field(self, field)
+        return f, f.take(self._index, axis=0)
+
+    def _first(self, nb):
+        """Centered first difference from a gather's neighbours."""
+        h = self.spacing
+        if self.diff_order == 2:
+            return (nb[0] - nb[1]) / (2.0 * h)
+        fp, fm, fpp, fmm = nb
+        return (-fpp + 8.0 * fp - 8.0 * fm + fmm) / (12.0 * h)
+
+    def _second(self, f, nb):
+        """Centered second difference from a gather's field and neighbours."""
+        h = self.spacing
+        if self.diff_order == 2:
+            return (nb[0] - 2.0 * f + nb[1]) / (h * h)
+        fp, fm, fpp, fmm = nb
+        return (-fpp + 16.0 * fp - 30.0 * f + 16.0 * fm - fmm) / (12.0 * h * h)
 
 
 def build_circle_mesh(n_nodes, diff_order=2):
@@ -78,54 +98,20 @@ def _neighbour_index(n_nodes, reach):
     return index
 
 
-def _bind_stencils(mesh):
-    index = _neighbour_index(mesh.n_nodes, mesh.diff_order // 2)
-    h = mesh.spacing
-
-    def gather(field):
-        f = _check_field(mesh, field)
-        return f, f.take(index, axis=0)
-
-    if mesh.diff_order == 2:
-        two_h, h2 = 2.0 * h, h * h
-
-        def first(nb):
-            return (nb[0] - nb[1]) / two_h
-
-        def second(f, nb):
-            return (nb[0] - 2.0 * f + nb[1]) / h2
-
-    else:
-        twelve_h, twelve_h2 = 12.0 * h, 12.0 * h * h
-
-        def first(nb):
-            fp, fm, fpp, fmm = nb
-            return (-fpp + 8.0 * fp - 8.0 * fm + fmm) / twelve_h
-
-        def second(f, nb):
-            fp, fm, fpp, fmm = nb
-            return (-fpp + 16.0 * fp - 30.0 * f + 16.0 * fm - fmm) / twelve_h2
-
-    return gather, first, second
-
-
 def differentiate(mesh, field):
     """Periodic centered first derivative along axis 0."""
-    gather, first, _ = mesh._stencils
-    return first(gather(field)[1])
+    return mesh._first(mesh._gather(field)[1])
 
 
 def laplace_beltrami(mesh, field):
     """Periodic second derivative (compact stencil of the mesh order)."""
-    gather, _, second = mesh._stencils
-    return second(*gather(field))
+    return mesh._second(*mesh._gather(field))
 
 
 def _differences(mesh, field):
     """(differentiate, laplace_beltrami) of one field from one gather."""
-    gather, first, second = mesh._stencils
-    f, nb = gather(field)
-    return first(nb), second(f, nb)
+    f, nb = mesh._gather(field)
+    return mesh._first(nb), mesh._second(f, nb)
 
 
 def forward_difference(mesh, field):

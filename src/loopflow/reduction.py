@@ -125,8 +125,8 @@ def _spectral_split(L_frame, asymmetry, bundle, functional, kernel_tol, newton_t
     kept_max = float(np.max(mags[keep]))
     if discarded_min < _GAP_FACTOR * kept_max:
         raise ValueError(
-            f"no spectral gap: smallest discarded eigenvalue {discarded_min:.3e} "
-            f"is under {_GAP_FACTOR:.0f}x the largest kept one {kept_max:.3e}"
+            f"kernel_tol {kernel_tol:g} leaves no spectral gap: smallest discarded eigenvalue "
+            f"{discarded_min:.3e} is under {_GAP_FACTOR:.0f}x the largest kept one {kept_max:.3e}"
         )
     gap_ratio = discarded_min / kept_max if kept_max > 0.0 else np.inf
     # eigh vectors are Euclidean-orthonormal, so h K K^T = V_kept V_kept^T

@@ -23,11 +23,11 @@ point belongs to it when its exact distance |x - Pi(x)| is below the
 radius: on a sphere that is ||x| - 1| < radius, which also rejects
 x = 0, NaN and inf.
 
-Each target binds the tube check, the projection and the curvature term
-to its constants once, on first use: a^2, the tube radius, and on an
-ellipsoid the edge e and the end values of the tube check. A sphere
-skips its divisions by a^2 = 1, which are exact. The public methods and
-the flow's stages call the same bound functions.
+The tube check, the projection and the curvature term are plain methods,
+_tube, _nearest, _normal and _tangent_curvature, that the public methods
+and the flow's stages share. Each target caches its constants: a^2, and
+on an ellipsoid the bracket of the tube check, its edge e and end
+values. A sphere skips its divisions by a^2 = 1, which are exact.
 """
 
 from dataclasses import dataclass
@@ -39,6 +39,7 @@ __all__ = ["TargetManifold"]
 
 _PROJ_TOL = 1e-13
 _PROJ_MAX_ITER = 200
+_SIGNS = np.array((1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,8 @@ class TargetManifold:
         """Whether every row of x lies within tube_radius of the target."""
         return self._tube(np.asarray(x, dtype=float))[0]
 
-    @cached_property
-    def _tube(self):
-        """x -> (inside, d): the tube check of in_tube, and every row's
+    def _tube(self, x):
+        """(inside, d): the tube check of in_tube, and every row's
         projection denominator d = a^2 + t, Pi(x) = a^2 x / d: |x| on a
         sphere, and on an ellipsoid a^2 plus the multiplier t once it has
         been solved (else None). d has shape x.shape[:-1] + (1,).
@@ -121,31 +121,19 @@ class TargetManifold:
         whose Newton iteration stays in (-e, e); |t x / d| is then the
         exact distance.
         """
-        radius = self.tube_radius
         if self.kind == "sphere":
-
-            def tube(x):
-                r = np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
-                return bool(abs(r - 1.0).max() < radius), r
-
-            return tube
+            r = np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
+            return bool(abs(r - 1.0).max() < self.tube_radius), r
         a2 = self._a2
-        edge = radius * self.semi_axes.max()
-        ends = ((a2 + np.array([[-edge], [edge]])) ** -2).T
-        signs = np.array((1.0, -1.0))
-        radius2 = radius**2
-
-        def tube(x):
-            ax2 = a2 * x * x
-            g_ends = ax2 @ ends - 1.0
-            if not (g_ends * signs > 0.0).all():
-                return False, None
-            t = self._multiplier(ax2, edge)
-            d = a2 + t
-            offset = t * x / d
-            return bool((np.add.reduce(offset * offset, -1) < radius2).all()), d
-
-        return tube
+        edge, ends = self._bracket
+        ax2 = a2 * x * x
+        g_ends = ax2 @ ends - 1.0
+        if not (g_ends * _SIGNS > 0.0).all():
+            return False, None
+        t = self._multiplier(ax2, edge)
+        d = a2 + t
+        offset = t * x / d
+        return bool((np.add.reduce(offset * offset, -1) < self.tube_radius**2).all()), d
 
     @cached_property
     def _a2(self):
@@ -154,30 +142,30 @@ class TargetManifold:
         a2.setflags(write=False)
         return a2
 
+    @cached_property
+    def _bracket(self):
+        """(e, ends): the tube check's edge e = tube_radius * a_max and the
+        columns (a^2 - e)^-2, (a^2 + e)^-2 that give g(-e) and g(e)."""
+        edge = self.tube_radius * self.semi_axes.max()
+        return edge, ((self._a2 + np.array([[-edge], [edge]])) ** -2).T
+
     def unit_normal(self, y):
         """Unit normal grad G / |grad G| of the level set at each point y."""
         return self._normal(np.asarray(y, dtype=float))[0]
 
-    @cached_property
-    def _normal(self):
-        """y -> (n, |grad G|): the unit normal at y and the norm of the
-        gradient y / a^2 it normalizes, rowwise."""
-        a2 = None if self.kind == "sphere" else self._a2
-
-        def normal(y):
-            grad = y if a2 is None else y / a2
-            gn = np.sqrt(np.add.reduce(grad * grad, -1, keepdims=True))
-            return grad / gn, gn
-
-        return normal
+    def _normal(self, y):
+        """(n, |grad G|): the unit normal at y and the norm of the gradient
+        y / a^2 it normalizes, rowwise."""
+        grad = y if self.kind == "sphere" else y / self._a2
+        gn = np.sqrt(np.add.reduce(grad * grad, -1, keepdims=True))
+        return grad / gn, gn
 
     def tangent_part(self, y, X):
         """X minus its component along the unit normal at y, rowwise."""
         return _tangent_part(X, self.unit_normal(y))
 
-    @cached_property
-    def _tangent_curvature(self):
-        """(y, X) -> (c, n) over stacked rows, with A_y(X_t, X_t) = -c n,
+    def _tangent_curvature(self, y, X):
+        """(c, n) over stacked rows, with A_y(X_t, X_t) = -c n,
         X_t the tangent part of X at y and n the unit normal at y: the
         tension field's curvature term, and the package's only one.
 
@@ -185,15 +173,9 @@ class TargetManifold:
         fundamental form, with grad G = 2 y / a^2. The 2s cancel against
         gn = |y / a^2| = |grad G| / 2, so c is <X_t, X_t / a^2> / gn.
         """
-        normal = self._normal
-        a2 = None if self.kind == "sphere" else self._a2
-
-        def tangent_curvature(y, X):
-            n, gn = normal(y)
-            Xt = _tangent_part(X, n)
-            return np.add.reduce(Xt * (Xt if a2 is None else Xt / a2), -1, keepdims=True) / gn, n
-
-        return tangent_curvature
+        n, gn = self._normal(y)
+        Xt = _tangent_part(X, n)
+        return np.add.reduce(Xt * (Xt if self.kind == "sphere" else Xt / self._a2), -1, keepdims=True) / gn, n
 
     # -- nearest-point projection ------------------------------------------
 
@@ -201,24 +183,16 @@ class TargetManifold:
         """Nearest point on the target; accepts a point or an (n, p) stack."""
         return self._nearest(x)[0]
 
-    @cached_property
-    def _nearest(self):
-        """x -> (y, d): project_nearest's point y and the denominator d of x
-        that _tube returns, for callers that go on to _differential."""
-        dim = self.ambient_dim
-        tube = self._tube
-        a2 = None if self.kind == "sphere" else self._a2
-
-        def nearest(x):
-            x = np.asarray(x, dtype=float)
-            if x.shape[-1] != dim:
-                raise ValueError(f"point has dimension {x.shape[-1]}, target lives in R^{dim}")
-            inside, d = tube(x)
-            if not inside:
-                raise ValueError("point outside the tube neighborhood of the target")
-            return (x if a2 is None else a2 * x) / d, d
-
-        return nearest
+    def _nearest(self, x):
+        """(y, d): project_nearest's point y and the denominator d of x that
+        _tube returns, for callers that go on to _differential."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.ambient_dim:
+            raise ValueError(f"point has dimension {x.shape[-1]}, target lives in R^{self.ambient_dim}")
+        inside, d = self._tube(x)
+        if not inside:
+            raise ValueError("point outside the tube neighborhood of the target")
+        return (x if self.kind == "sphere" else self._a2 * x) / d, d
 
     def _multiplier(self, ax2, edge):
         """Lagrange multiplier t of every row, shape ax2.shape[:-1] + (1,),

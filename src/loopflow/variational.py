@@ -6,9 +6,9 @@ degree-k great circle is exactly 2*pi*sin^2(kh)/h^2 on an order-2 mesh.
 The tension field is the classical pointwise assembly
 Delta u - A_u(Du, Du); its fiberwise tangential part is the constrained
 gradient of the discrete energy up to O(h^2).
-_bind_tension binds it to a mesh and a target once: tension_field and
-every stage of the flow go through that one function, with the mesh's
-bound stencils and the target's bound curvature term.
+tension_field and every stage of the flow go through _bind_tension's one
+function, which calls the mesh's stencil methods and the target's
+curvature term.
 
 A functional over a pullback bundle is three routines on nodal section
 values: its value, its Euler-Lagrange field and the linearization of
@@ -115,17 +115,14 @@ def tension_field(state):
 
 def _bind_tension(mesh, target):
     """values -> (tension_field, Du, the unit normal it used) of map
-    values, with the mesh's stencils and the target's curvature term
-    bound once."""
-    gather, first, second = mesh._stencils
-    curvature = target._tangent_curvature
+    values on this mesh and target."""
 
     def tension_parts(values):
-        f, nb = gather(values)
-        du = first(nb)
-        c, normal = curvature(f, du)
+        f, nb = mesh._gather(values)
+        du = mesh._first(nb)
+        c, normal = target._tangent_curvature(f, du)
         # the curvature term A_u(Du_t, Du_t) is -c n
-        return second(f, nb) + c * normal, du, normal
+        return mesh._second(f, nb) + c * normal, du, normal
 
     return tension_parts
 

@@ -485,12 +485,30 @@ OVERFLOW_ENTRY = {
             [],
             "target.semi_axes",
         ),
+        # these two named neither the base loop nor kernel_tol: a base loop
+        # that is not near-harmonic, and a threshold inside a cluster
+        (
+            "reduce-run",
+            {
+                "domain": {"n_nodes": 32},
+                "target": {"kind": "ellipsoid", "ambient_dim": 3, "semi_axes": [1.0, 2.0, 1.3]},
+            },
+            [],
+            "base_map.degree 1: base map is not near-harmonic",
+        ),
+        (
+            "reduce-run",
+            {"domain": {"n_nodes": 16}, "reduction": {"kernel_tol": 0.5}},
+            [],
+            "kernel_tol 0.5 leaves no spectral gap",
+        ),
     ],
     ids=[
         "file_not_string", "directory_not_string", "directory_empty", "polynomials_not_list",
         "label_not_string", "negative_seed_key", "negative_seed_flag", "infinite_semi_axis",
         "kernel_tol_keeps_none", "overflowing_radii", "radius_outside_chart", "radius_overflows",
         "aliased_degree", "modes_leave_the_chart", "amplitude_above_the_tube", "reach_rounds_to_zero",
+        "base_loop_not_near_harmonic", "kernel_tol_leaves_no_gap",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line_naming_it(

@@ -350,6 +350,17 @@ def test_kept_maps_raise_by_name_before_a_block_passes_the_limit(monkeypatch):
     assert run_flow(initial, config, distance_stride=None).config_echo["stopped_on_tolerance"]
 
 
+def test_finite_dim_flow_names_dt_and_t_max_at_the_kept_state_limit(monkeypatch):
+    # a limit of one block of one-variable states: finite_dim_flow keeps
+    # every state and has no stride, so the error names its own inputs
+    # before a step; 1001 states fit in the block
+    monkeypatch.setattr(flow_module, "_KEPT_LIMIT_BYTES", flow_module._KEPT_BLOCK_ROWS * 8)
+    f = polynomial({(2,): 1.0})
+    with pytest.raises(ValueError, match=r"^dt = 0\.01 and t_max = 100\.0 take 10000 steps.*raise dt or lower t_max"):
+        finite_dim_flow(f, [1.0], dt=0.01, t_max=100.0)
+    assert finite_dim_flow(f, [1.0], dt=0.01, t_max=10.0).times.size == 1001
+
+
 @pytest.mark.parametrize("stride", [2.0, 2.5, True, 0, -1])
 def test_run_flow_rejects_a_stride_that_is_not_a_positive_integer_before_a_step(monkeypatch, stride):
     # 2.0 and 2.5 used to fail at step 0 with an unnamed TypeError, and True
